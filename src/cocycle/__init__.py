@@ -38,6 +38,7 @@ from .one_forms import (
     LevelRaisingForm,
     LipFunction,
     PolynomialCocyclicForm,
+    RecenteredForm,
     RoughOneForm,
     TimeVaryingOneForm,
     TimeVaryingRoughOneForm,

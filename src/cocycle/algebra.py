@@ -74,9 +74,6 @@ class GradedTensor:
         """ell-1 norm over all coefficients (the admissible norm)."""
         return float(sum(np.abs(l).sum() for l in self.levels))
 
-    def block_norms(self) -> np.ndarray:
-        return np.array([float(np.abs(l).sum()) for l in self.levels])
-
     def __add__(self, other: "GradedTensor") -> "GradedTensor":
         self.system.require_same(other.system)
         return GradedTensor(self.system, [a + b for a, b in zip(self.levels, other.levels)])

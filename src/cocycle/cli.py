@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import serialize
+from .algebra import WordSystem
 from .dominated import (
     DominatedPath,
     compose as compose_op,
@@ -31,7 +32,6 @@ from .one_forms import (
 )
 from .paths import SampledGroupPath, control_from_pvar, p_variation, signature_piecewise_linear
 from .serialize import InputError, dumps
-from .sewing import sew
 
 CERTIFICATE_GRID_CAP = 48  # full slowly-varying certificates only below this
 
@@ -140,6 +140,10 @@ def _read_text(source: str) -> str:
 
 
 def _load_path(args, depth: int | None = None) -> SampledGroupPath:
+    if args.depth < 1:
+        raise InputError(f"--depth must be at least 1, got {args.depth}")
+    if not args.p >= 1:
+        raise InputError(f"--p must be at least 1, got {args.p}")
     text = _read_text(args.input)
     want = getattr(args, "system", None)
     if text.lstrip().startswith("{"):
@@ -199,7 +203,8 @@ def cmd_extend(args) -> dict:
     return obj
 
 
-def _coupling_from_form(args, form_file: str) -> DominatedPath:
+def _coupling_from_form(args, form_file: str, base: SampledGroupPath | None = None) -> DominatedPath:
+    """Rough-integration coupling of a one-form file, over ``base`` or the input path."""
     import json
 
     try:
@@ -207,15 +212,16 @@ def _coupling_from_form(args, form_file: str) -> DominatedPath:
     except json.JSONDecodeError as exc:
         raise InputError(f"bad one-form JSON ({form_file}): {exc}") from exc
     f = serialize.one_form_from_obj(form_obj)
-    hp = int(math.floor(args.p))
-    depth = max(args.depth, hp)
-    path = _load_path(args, depth=depth)
-    if path.d != f.in_dim:
-        raise InputError(f"path dimension {path.d} != one-form dimension {f.in_dim}")
-    form = RoughOneForm(f, path, args.p)
-    omega = control_from_pvar(path, args.p)
+    if base is None:
+        base = _load_path(args, depth=max(args.depth, int(math.floor(args.p))))
+    if not isinstance(base.system, WordSystem):
+        raise InputError("one-form couplings need a word-system (nilpotent) path")
+    if base.d != f.in_dim:
+        raise InputError(f"path dimension {base.d} != one-form dimension {f.in_dim}")
+    form = RoughOneForm(f, base, args.p)
+    omega = control_from_pvar(base, args.p)
     theta = args.theta if args.theta is not None else form.theta
-    return DominatedPath.from_form(path, form, omega, theta, args.p)
+    return DominatedPath.from_form(base, form, omega, theta, args.p)
 
 
 def _trace_payload(d: DominatedPath) -> dict:
@@ -251,30 +257,14 @@ def cmd_integrate(args) -> dict:
 
 def cmd_iterate(args) -> dict:
     d1 = _coupling_from_form(args, args.form)
-    d2 = _coupling_from_form_shared(args, args.form2, d1.base)
+    d2 = _coupling_from_form(args, args.form2, d1.base)
     return _trace_payload(iterated_integral(d1, d2, schedule=args.schedule))
 
 
 def cmd_product(args) -> dict:
     d1 = _coupling_from_form(args, args.form)
-    d2 = _coupling_from_form_shared(args, args.form2, d1.base)
+    d2 = _coupling_from_form(args, args.form2, d1.base)
     return _trace_payload(product_op(d1, d2, schedule=args.schedule))
-
-
-def _coupling_from_form_shared(args, form_file: str, base: SampledGroupPath) -> DominatedPath:
-    import json
-
-    try:
-        form_obj = json.loads(_read_text(form_file))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad one-form JSON ({form_file}): {exc}") from exc
-    f = serialize.one_form_from_obj(form_obj)
-    if base.d != f.in_dim:
-        raise InputError(f"path dimension {base.d} != one-form dimension {f.in_dim}")
-    form = RoughOneForm(f, base, args.p)
-    omega = control_from_pvar(base, args.p)
-    theta = args.theta if args.theta is not None else form.theta
-    return DominatedPath.from_form(base, form, omega, theta, args.p)
 
 
 def cmd_compose(args) -> dict:

@@ -20,34 +20,36 @@ construction followed by sewing:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import trees
 from .algebra import ForestSystem, GradedTensor, HopfSystem, tensor_system
-from .maps import ProductTensor, _double_block_matrices, double_integral, level_one_integral
+from .maps import (
+    ProductTensor,
+    _degree_tuples,
+    _double_block_matrices,
+    double_integral,
+    level_one_integral,
+)
 from .one_forms import (
     AlgebraTarget,
+    BranchedRoughOneForm,
     CallableForm,
     CertificateError,
     FlatTarget,
     FormSum,
     LipFunction,
+    RecenteredForm,
     RoughOneForm,
     SlowVaryingReport,
     TimeVaryingOneForm,
+    apply_matrices,
     slowly_varying_certificate,
 )
 from .paths import Control, SampledGroupPath, control_from_pvar, vector_p_variation
 from .sewing import SewingResult, sew
-
-
-def _recenter(path: SampledGroupPath, s: int, a: GradedTensor, v: GradedTensor) -> GradedTensor:
-    """g_s^{-1} a (v - v_0 1): the direction as seen from the base point."""
-    dom = path.system
-    w = dom.mul(a, v - v.scalar() * dom.unit())
-    return dom.mul(path.inverse_value(s), w)
 
 
 @dataclass
@@ -63,6 +65,7 @@ class DominatedPath:
     p: float
     result: SewingResult | None = None
     certificate: SlowVaryingReport | None = None
+    _matrices: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_form(
@@ -89,6 +92,16 @@ class DominatedPath:
 
     def increment(self, s: int, t: int) -> np.ndarray:
         return self.trace[t] - self.trace[s]
+
+    def base_matrices(self, s: int, degrees) -> dict:
+        """``{k: matrix of v_k -> beta_s(g_s, v_k)}``, kept per (s, k): the base never changes."""
+        out = {}
+        for k in degrees:
+            M = self._matrices.get((s, k))
+            if M is None:
+                M = self._matrices[(s, k)] = self.form.base_matrix(self.base, s, k)
+            out[k] = M
+        return out
 
     def certify(self, max_degree: int | None = None, keep_samples: bool = False) -> SlowVaryingReport:
         report = slowly_varying_certificate(
@@ -153,10 +166,6 @@ def coordinate_coupling(base: SampledGroupPath, omega: Control, theta: float, p:
     return DominatedPath(base, form, trace[0], trace, omega, theta, p, result=res)
 
 
-def _base_matrices(d: DominatedPath, s: int, degrees) -> dict:
-    return {k: d.form.base_matrix(d.base, s, k) for k in degrees}
-
-
 def _pair_kernel(split: ProductTensor, mats1: dict, mats2: dict) -> np.ndarray:
     """Contract a two-factor split with per-degree form matrices."""
     m1 = next(iter(mats1.values())).shape[0]
@@ -183,13 +192,13 @@ def iterated_integral(
         raise ValueError("iterated integration needs a shared base path")
     base = d1.base
     degrees = range(1, base.system.n + 1)
-    mats1 = [_base_matrices(d1, s, degrees) for s in range(len(base))]
-    mats2 = [_base_matrices(d2, s, degrees) for s in range(len(base))]
+    mats1 = [d1.base_matrices(s, degrees) for s in range(len(base))]
+    mats2 = [d2.base_matrices(s, degrees) for s in range(len(base))]
     target = FlatTarget(d1.dim * d2.dim)
 
     def fn(s, a, v):
-        c = _recenter(base, s, a, v)
-        lead = np.outer(d1.increment(0, s), _apply_mats(mats2[s], c))
+        c = base.recenter(s, a, v)
+        lead = np.outer(d1.increment(0, s), apply_matrices(mats2[s], c, d2.dim))
         split = double_integral(c)
         return (lead + _pair_kernel(split, mats1[s], mats2[s])).reshape(-1)
 
@@ -197,14 +206,6 @@ def iterated_integral(
     omega = d1.omega + d2.omega + control_from_pvar(base, d1.p)
     theta = min(d1.theta, d2.theta)
     return DominatedPath.from_form(base, form, omega, theta, d1.p, schedule=schedule, check=check)
-
-
-def _apply_mats(mats: dict, c: GradedTensor) -> np.ndarray:
-    out = None
-    for k, M in mats.items():
-        term = M @ c.levels[k]
-        out = term if out is None else out + term
-    return out
 
 
 def product(
@@ -220,20 +221,20 @@ def product(
     base = d1.base
     hp = base.system.n
     degrees = range(1, hp + 1)
-    mats1 = [_base_matrices(d1, s, degrees) for s in range(len(base))]
-    mats2 = [_base_matrices(d2, s, degrees) for s in range(len(base))]
+    mats1 = [d1.base_matrices(s, degrees) for s in range(len(base))]
+    mats2 = [d2.base_matrices(s, degrees) for s in range(len(base))]
     target = FlatTarget(d1.dim * d2.dim)
 
     def eta1(s, a, v):
-        c = _recenter(base, s, a, v)
-        return np.outer(_apply_mats(mats1[s], c), d2.trace[s]).reshape(-1)
+        c = base.recenter(s, a, v)
+        return np.outer(apply_matrices(mats1[s], c, d1.dim), d2.trace[s]).reshape(-1)
 
     def eta2(s, a, v):
-        c = _recenter(base, s, a, v)
-        return np.outer(d1.trace[s], _apply_mats(mats2[s], c)).reshape(-1)
+        c = base.recenter(s, a, v)
+        return np.outer(d1.trace[s], apply_matrices(mats2[s], c, d2.dim)).reshape(-1)
 
     def eta3(s, a, v):
-        c = _recenter(base, s, a, v)
+        c = base.recenter(s, a, v)
         out = np.zeros((d1.dim, d2.dim))
         for k1 in range(1, hp):
             for k2 in range(1, hp - k1 + 1):
@@ -277,7 +278,7 @@ def compose(
     base = d.base
     hp = base.system.n
     degrees = range(1, hp + 1)
-    mats = [_base_matrices(d, s, degrees) for s in range(len(base))]
+    mats = [d.base_matrices(s, degrees) for s in range(len(base))]
     wdim = int(np.prod(f.out_shape))
     target = FlatTarget(wdim)
     radius = float(np.abs(d.trace).max())
@@ -285,12 +286,10 @@ def compose(
     if scale <= 0:
         scale = 1.0
 
-    tuples_by_l = {
-        l: [ks for ks in _compositions(l, hp)] for l in range(1, hp + 1)
-    }
+    tuples_by_l = {l: list(_degree_tuples(l, hp)) for l in range(1, hp + 1)}
 
     def fn(s, a, v):
-        c = _recenter(base, s, a, v)
+        c = base.recenter(s, a, v)
         X = d.trace[s]
         out = np.zeros(wdim)
         for l in range(1, hp + 1):
@@ -313,26 +312,10 @@ def compose(
     theta_hat = min(d.theta, f.gamma / d.p, (hp + 1) / d.p)
     out = DominatedPath.from_form(
         base, form, omega, theta_hat, d.p,
-        h0=f_value(f, d.trace[0]).reshape(-1),
+        h0=f.deriv(0, d.trace[0]).reshape(-1),
         schedule=schedule, check=check,
     )
     return out
-
-
-def f_value(f: LipFunction, x: np.ndarray) -> np.ndarray:
-    return f.deriv(0, x)
-
-
-def _compositions(parts: int, total_max: int):
-    def rec(left, budget):
-        if left == 0:
-            yield ()
-            return
-        for j in range(1, budget - left + 2):
-            for rest in rec(left - 1, budget - j):
-                yield (j,) + rest
-
-    yield from rec(parts, total_max)
 
 
 # -- enhancement and transitivity ---------------------------------------------------
@@ -365,80 +348,67 @@ class GroupEnhancement:
             worst = max(worst, max(float(np.abs(a - b).max()) for a, b in zip(lhs.levels, rhs.levels)))
         return worst
 
-    def one_step_matrices(self, s: int) -> dict:
-        """B_{s,s} as per-level, per-degree matrices on the base domain."""
-        return self.level_matrices[s]
-
     def window_matrices(self, s: int, t: int) -> dict:
         """B_{s,t}: the ladder one-form of the window, by the level recursion."""
-        base = self.source.base
-        E_t = self.level_matrices[t]
-        hp = self.system.n
-        gamma_st = self.pair_value(s, t)
-        out = {1: dict(E_t[1])}
-        dbl = {
-            k: _double_block_matrices(base.system, k) for k in range(2, base.system.n + 1)
-        }
-        for lvl in range(2, hp + 1):
-            cur: dict = {}
-            for k in range(1, base.system.n + 1):
-                x_part = gamma_st.levels[lvl - 1].reshape(-1, 1)
-                acc = np.kron(x_part, E_t[1].get(k)) if E_t[1].get(k) is not None else None
-                for (j1, j2), M in dbl.get(k, {}).items():
-                    prev = out[lvl - 1].get(j1)
-                    low = E_t[1].get(j2)
-                    if prev is None or low is None:
-                        continue
-                    # kron(prev, low) expects the (j1, j2) split flattened
-                    # row-major, which is how the split matrices are built
-                    term = np.kron(prev, low) @ M
-                    acc = term if acc is None else acc + term
-                if acc is not None:
-                    cur[k] = acc
-            out[lvl] = cur
-        return out
+        return _ladder(
+            self.source.base.system, dict(self.level_matrices[t][1]), self.system.n,
+            self.pair_value(s, t),
+        )
+
+
+def _ladder(system: HopfSystem, B: dict, hp: int, x: GradedTensor | None = None) -> dict:
+    """Per-level, per-degree matrices ``{level: {degree: M}}`` of a ladder one-form.
+
+    Level 1 is ``B``; level l pairs level l-1 with ``B`` through the
+    two-factor split.  A window increment ``x`` adds the ``x_{l-1} (x) B``
+    term of the window recursion.
+    """
+    dbl = {k: _double_block_matrices(system, k) for k in range(2, system.n + 1)}
+    levels = {1: B}
+    for lvl in range(2, hp + 1):
+        cur: dict = {}
+        for k in range(1, system.n + 1):
+            acc = None
+            if x is not None and B.get(k) is not None:
+                acc = np.kron(x.levels[lvl - 1].reshape(-1, 1), B[k])
+            for (j1, j2), M in dbl.get(k, {}).items():
+                prev = levels[lvl - 1].get(j1)
+                low = B.get(j2)
+                if prev is None or low is None:
+                    continue
+                # kron(prev, low) expects the (j1, j2) split flattened
+                # row-major, which is how the split matrices are built
+                term = np.kron(prev, low) @ M
+                acc = term if acc is None else acc + term
+            if acc is not None:
+                cur[k] = acc
+        levels[lvl] = cur
+    return levels
+
+
+def _apply_ladder(out: GradedTensor, ladder: dict, c: GradedTensor) -> GradedTensor:
+    """Add ``sum_k M_{l,k} pi_k(c)`` into level l of ``out`` for each ladder level l."""
+    for lvl, per_deg in ladder.items():
+        for k, M in per_deg.items():
+            out.levels[lvl][:] += M @ c.levels[k]
+    return out
 
 
 def enhance(d: DominatedPath, schedule: str = "ltr") -> GroupEnhancement:
     """Build the group-valued lift by sewing the level-stacked one-form."""
     base = d.base
     hp = base.system.n
-    m = d.dim
-    enh_system = tensor_system("nilpotent", m, hp)
-    degrees = range(1, base.system.n + 1)
-    dbl = {k: _double_block_matrices(base.system, k) for k in range(2, base.system.n + 1)}
-
-    level_matrices = []
-    for s in range(len(base)):
-        B = _base_matrices(d, s, degrees)
-        levels = {1: B}
-        for lvl in range(2, hp + 1):
-            cur: dict = {}
-            for k in degrees:
-                acc = None
-                for (j1, j2), M in dbl.get(k, {}).items():
-                    prev = levels[lvl - 1].get(j1)
-                    low = B.get(j2)
-                    if prev is None or low is None:
-                        continue
-                    term = np.kron(prev, low) @ M
-                    acc = term if acc is None else acc + term
-                if acc is not None:
-                    cur[k] = acc
-            levels[lvl] = cur
-        level_matrices.append(levels)
-
-    target = AlgebraTarget(enh_system)
+    enh_system = tensor_system("nilpotent", d.dim, hp)
+    degrees = range(1, hp + 1)
+    level_matrices = [
+        _ladder(base.system, d.base_matrices(s, degrees), hp) for s in range(len(base))
+    ]
 
     def fn(s, a, v):
-        c = _recenter(base, s, a, v)
-        out = v.scalar() * enh_system.unit()
-        for lvl in range(1, hp + 1):
-            for k, M in level_matrices[s][lvl].items():
-                out.levels[lvl][:] += M @ c.levels[k]
-        return out
+        c = base.recenter(s, a, v)
+        return _apply_ladder(v.scalar() * enh_system.unit(), level_matrices[s], c)
 
-    form = CallableForm(base.times, base.system, target, fn, base_path=base)
+    form = CallableForm(base.times, base.system, AlgebraTarget(enh_system), fn, base_path=base)
     res = sew(form, base, d.omega, d.theta, schedule=schedule, check=False)
     return GroupEnhancement(d, enh_system, res.values, res, level_matrices)
 
@@ -463,11 +433,8 @@ def rebase(
     target = outer.form.target
 
     def fn(s, a, v):
-        c = _recenter(base, s, a, v)
-        w = enh_system.zero()
-        for lvl, per_deg in enhancement.level_matrices[s].items():
-            for k, M in per_deg.items():
-                w.levels[lvl][:] += M @ c.levels[k]
+        c = base.recenter(s, a, v)
+        w = _apply_ladder(enh_system.zero(), enhancement.level_matrices[s], c)
         return outer.form.eval(s, enhancement.values[s], w)
 
     form = CallableForm(base.times, base.system, target, fn, base_path=base)
@@ -492,8 +459,6 @@ def rough_integrate(
     sewn result's local estimates give the almost-multiplicative comparison.
     """
     if isinstance(base.system, ForestSystem):
-        from .one_forms import BranchedRoughOneForm
-
         form = BranchedRoughOneForm(f, base, p)
     else:
         form = RoughOneForm(f, base, p)
@@ -517,6 +482,10 @@ class ControlledPath:
     omega: Control
     theta: float
     p: float
+    form: RecenteredForm = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.form = RecenteredForm(self.low, self.trace.shape[1], self.coeff_fn)
 
     @classmethod
     def from_coefficients(cls, base, trace, coeff_fn, omega, theta, p) -> "ControlledPath":
@@ -533,7 +502,7 @@ class ControlledPath:
     def from_dominated(cls, d: DominatedPath) -> "ControlledPath":
         hp = int(math.floor(d.p))
         degrees = range(1, hp)
-        mats = [_base_matrices(d, s, degrees) for s in range(len(d.base))]
+        mats = [d.base_matrices(s, degrees) for s in range(len(d.base))]
         return cls.from_coefficients(
             d.base, d.trace, lambda s: mats[s], d.omega, d.theta, d.p
         )
@@ -542,17 +511,8 @@ class ControlledPath:
     def dim(self) -> int:
         return self.trace.shape[1]
 
-    def form_eval(self, s: int, a: GradedTensor, v: GradedTensor) -> np.ndarray:
-        """beta_s(a, v) over the low-level group."""
-        c = _recenter(self.low, s, a, v)
-        mats = self.coeff_fn(s)
-        out = np.zeros(self.dim)
-        for k, M in mats.items():
-            out = out + M @ c.levels[k]
-        return out
-
     def one_step(self, s: int, t: int) -> np.ndarray:
-        return self.form_eval(s, self.low.values[s], self.low.increment(s, t))
+        return self.form.eval(s, self.low.values[s], self.low.increment(s, t))
 
     def certificate_norm(self) -> float:
         """The combined bound of the weak-control conditions (finite = pass)."""
@@ -562,7 +522,7 @@ class ControlledPath:
         worst_var = 0.0
         sup_norm = 0.0
         for s in range(N):
-            mats = self.coeff_fn(s)
+            mats = self.form.matrices(s)
             sup_norm = max(sup_norm, max(float(np.abs(M).sum(axis=0).max()) for M in mats.values()))
         for s in range(N - 1):
             for t in range(s + 1, N):
@@ -576,8 +536,8 @@ class ControlledPath:
                     for pos in range(self.low.system.dim(k)):
                         e = self.low.system.zero()
                         e.levels[k][pos] = 1.0
-                        late = self.form_eval(t, self.low.values[t], e)
-                        early = self.form_eval(s, self.low.values[t], e)
+                        late = self.form.eval(t, self.low.values[t], e)
+                        early = self.form.eval(s, self.low.values[t], e)
                         gap = float(np.abs(late - early).sum())
                         worst_var = max(worst_var, gap / w**expo)
         return sup_norm + worst_remainder + worst_var
@@ -601,13 +561,13 @@ def controlled_iterated_integral(c1: ControlledPath, c2: ControlledPath):
 
     def kernel(s: int, c: GradedTensor) -> np.ndarray:
         split = double_integral(c)
-        return _pair_kernel(split, c1.coeff_fn(s), c2.coeff_fn(s))
+        return _pair_kernel(split, c1.form.matrices(s), c2.form.matrices(s))
 
     trace = np.zeros((N, c1.dim * c2.dim))
     for j in range(N - 1):
         inc = base.increment(j, j + 1)
         lead = np.outer(c1.increment(0, j), c2.increment(j, j + 1))
-        step = lead + kernel(j, _recenter(base, j, base.values[j], inc))
+        step = lead + kernel(j, base.recenter(j, base.values[j], inc))
         trace[j + 1] = trace[j] + step.reshape(-1)
 
     # integrable-condition residuals of the augmented one-form on triples
@@ -619,7 +579,7 @@ def controlled_iterated_integral(c1: ControlledPath, c2: ControlledPath):
                 w = c1.omega(s, t)
                 if w <= 0:
                     continue
-                inc = _recenter(base, u, base.values[u], base.increment(u, t))
+                inc = base.recenter(u, base.values[u], base.increment(u, t))
                 lead_dev = np.outer(c1.increment(s, u), c2.increment(u, t))
                 kern_dev = kernel(u, inc) - kernel(s, inc)
                 dev = float(np.abs(lead_dev + kern_dev).max())
@@ -640,14 +600,14 @@ def integrate_controlled_against(
         raise ValueError("needs a shared base path")
     base = c1.base
     degrees = range(1, base.system.n + 1)
-    mats2 = [_base_matrices(d2, s, degrees) for s in range(len(base))]
+    mats2 = [d2.base_matrices(s, degrees) for s in range(len(base))]
     target = FlatTarget(c1.dim * d2.dim)
 
     def fn(s, a, v):
-        c = _recenter(base, s, a, v)
-        lead = np.outer(c1.increment(0, s), _apply_mats(mats2[s], c))
+        c = base.recenter(s, a, v)
+        lead = np.outer(c1.increment(0, s), apply_matrices(mats2[s], c, d2.dim))
         split = double_integral(c)
-        return (lead + _pair_kernel(split, c1.coeff_fn(s), mats2[s])).reshape(-1)
+        return (lead + _pair_kernel(split, c1.form.matrices(s), mats2[s])).reshape(-1)
 
     form = CallableForm(base.times, base.system, target, fn, base_path=base)
     omega = c1.omega + d2.omega + control_from_pvar(base, c1.p)
@@ -667,10 +627,10 @@ def integrate_controlled_against_level_one(c1: ControlledPath, schedule: str = "
     trace = np.zeros((N, c1.dim * d))
     for j in range(N - 1):
         inc = base.increment(j, j + 1)
-        c = _recenter(base, j, base.values[j], inc)
+        c = base.recenter(j, base.values[j], inc)
         split = level_one_integral(c)
         lead = np.outer(c1.increment(0, j), np.array(c.levels[1]))
-        kern = _pair_kernel(split, c1.coeff_fn(j), {1: np.eye(d)})
+        kern = _pair_kernel(split, c1.form.matrices(j), {1: np.eye(d)})
         trace[j + 1] = trace[j] + (lead + kern).reshape(-1)
     return trace
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import trees
 from .algebra import ForestSystem, GradedTensor, WordSystem, tensor_system
-from .one_forms import CertificateError, LevelRaisingForm
+from .one_forms import AlgebraTarget, CertificateError, LevelRaisingForm
 from .paths import Control, SampledGroupPath, control_from_pvar, p_variation
 from .sewing import sew_generic
 
@@ -107,22 +107,10 @@ def extend_one_level(
         def eval_pair(i, j):
             return form.eval_pair(path, i, j)
 
-    target_ops = _AlgebraOps(upper)
     prefixes, _total, _removals, _bound = sew_generic(
-        eval_pair, len(path), target_ops, omega, theta, schedule
+        eval_pair, len(path), AlgebraTarget(upper), omega, theta, schedule
     )
     return SampledGroupPath(upper, path.times, prefixes)
-
-
-class _AlgebraOps:
-    def __init__(self, system):
-        self.system = system
-
-    def unit(self):
-        return self.system.unit()
-
-    def mul(self, x, y):
-        return self.system.mul(x, y)
 
 
 def extend_to_level(

@@ -325,28 +325,3 @@ def _project_last_degree_one(p: ProductTensor) -> ProductTensor:
             out.add_block(key, arr)
     return out
 
-
-def apply_linear_factors(p: ProductTensor, mats: list[dict]) -> np.ndarray:
-    """Contract each factor of ``p`` with per-degree matrices.
-
-    ``mats[f]`` maps degree -> ndarray of shape (out_dim_f, dim(degree)).
-    Returns the summed (out_dim_1, ..., out_dim_l) tensor.
-    """
-    out = None
-    for key, arr in p.blocks.items():
-        cur = arr
-        for f, j in enumerate(key):
-            mat = mats[f].get(j)
-            if mat is None:
-                cur = None
-                break
-            cur = np.tensordot(mat, cur, axes=([1], [f]))
-            # tensordot moves the contracted axis to the front; rotate back
-            cur = np.moveaxis(cur, 0, f)
-        if cur is None:
-            continue
-        out = cur if out is None else out + cur
-    if out is None:
-        dims = tuple(max(m.shape[0] for m in mats_f.values()) for mats_f in mats)
-        out = np.zeros(dims)
-    return out

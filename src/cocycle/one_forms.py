@@ -15,8 +15,8 @@ norm, so the dual norm is a maximum over basis images).
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from . import trees
 from .algebra import ForestSystem, GradedTensor, HopfSystem, WordSystem, tensor_system
 from .paths import Control, SampledGroupPath
-from .shuffles import ordered_shuffles
+from .shuffles import apply_inverse, ordered_shuffles
 
 
 class CertificateError(ValueError):
@@ -33,14 +33,6 @@ class CertificateError(ValueError):
     def __init__(self, message: str, detail=None):
         super().__init__(message)
         self.detail = detail
-
-
-def worker_count() -> int:
-    """Worker cap from COCYCLE_THREADS (certificates may fan out per pair)."""
-    try:
-        return max(1, int(os.environ.get("COCYCLE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # -- targets -------------------------------------------------------------------
@@ -228,7 +220,6 @@ class TimeVaryingOneForm:
         self.times = np.asarray(times, dtype=float)
         self.domain = domain
         self.target = target
-        self._matrix_cache: dict = {}
 
     def eval(self, s: int, a: GradedTensor, v: GradedTensor):
         raise NotImplementedError
@@ -237,25 +228,15 @@ class TimeVaryingOneForm:
         """beta_{t_j}(g_{t_j}, g_{t_j, t_k})."""
         return self.eval(j, path.values[j], path.increment(j, k))
 
-    def recentered(self, path: SampledGroupPath, s: int, c: GradedTensor):
-        """beta_s evaluated at base g_s in the recentered direction c."""
-        return self.eval(s, path.values[s], c)
-
     def base_matrix(self, path: SampledGroupPath, s: int, k: int) -> np.ndarray:
         """Matrix of v_k -> beta_s(g_s, v_k) on the degree-k block (flat targets)."""
-        key = (id(path), s, k)
-        cached = self._matrix_cache.get(key)
-        if cached is not None:
-            return cached
         dim = self.domain.dim(k)
         cols = []
         for pos in range(dim):
             e = self.domain.zero()
             e.levels[k][pos] = 1.0
             cols.append(self.eval(s, path.values[s], e))
-        mat = np.stack(cols, axis=-1).reshape(-1, dim)
-        self._matrix_cache[key] = mat
-        return mat
+        return np.stack(cols, axis=-1).reshape(-1, dim)
 
     def linearity_residual(self, s: int, a: GradedTensor, v1, v2, c1=0.7, c2=-1.3) -> float:
         lhs = self.eval(s, a, c1 * v1 + c2 * v2)
@@ -339,17 +320,6 @@ def identity_form(times, domain: HopfSystem):
     return constant_form_from_alpha(times, domain, AlgebraTarget(domain), lambda g: g)
 
 
-def coordinate_form(times, domain: HopfSystem):
-    """Degree-one increment form: the level-1 coupling beta(a,v) = pi_1(a(v - v_0))."""
-    target = FlatTarget(domain.dim(1))
-
-    def fn(s, a, v):
-        w = domain.mul(a, v - v.scalar() * domain.unit())
-        return np.array(w.levels[1])
-
-    return CallableForm(times, domain, target, fn)
-
-
 class LevelRaisingForm(TimeVaryingOneForm):
     """The one-level extension form of a group path.
 
@@ -409,7 +379,7 @@ class PolynomialCocyclicForm(TimeVaryingOneForm):
         n, dn = self.lift_level, self.domain.n
         out = []
         for k in range(1, n + 1):
-            for ls in _tuples_upto(k, n - 1):
+            for ls in itertools.product(range(n), repeat=k):
                 if sum(ls) + k <= dn:
                     out.append((k, ls))
         return out
@@ -433,8 +403,6 @@ class PolynomialCocyclicForm(TimeVaryingOneForm):
             total = sum(ls) + k
             block = np.zeros(d**total)
             for perm in ordered_shuffles(tuple(l + 1 for l in ls)):
-                from .shuffles import apply_inverse
-
                 block = block + apply_inverse(v.levels[total], perm, d)
             # contract factor i (a V^{(l_i+1)} slot group) with (D^{l_i} p)(x)
             cur = block.reshape(tuple(d ** (l + 1) for l in ls))
@@ -447,35 +415,77 @@ class PolynomialCocyclicForm(TimeVaryingOneForm):
         return out
 
 
-def _tuples_upto(parts: int, top: int):
-    if parts == 0:
-        yield ()
-        return
-    for first in range(top + 1):
-        for rest in _tuples_upto(parts - 1, top):
-            yield (first,) + rest
-
-
 def polynomial_trace_increment(f: LipFunction, path: SampledGroupPath, s: int, t: int) -> np.ndarray:
     """Closed-form increment sum_l (D^l p)(x_s) applied to the signature blocks."""
     x = path.level_one(s)
     inc = path.increment(s, t)
     m = f.out_shape[0]
     out = np.zeros(m)
-    for l in range(min(path.level, len_of_stack(f))):
+    for l in range(min(path.level, f.top + 1)):
         A = np.moveaxis(f.deriv(l, x), 1, -1).reshape(m, -1)
         out = out + A @ inc.levels[l + 1]
     return out
 
 
-def len_of_stack(f: LipFunction) -> int:
-    return f.top + 1
+# -- the recentered one-form ----------------------------------------------------------
+
+
+class RecenteredForm(TimeVaryingOneForm):
+    """``beta_s(a, v) = sum_k M_k(s) pi_k(g_s^{-1} a (v - v_0))`` into R^dim.
+
+    ``matrices(s)`` returns the per-time maps ``{k: M_k(s)}``, each of shape
+    ``(dim, dim_k)``; they are built once per grid index and kept.
+    """
+
+    def __init__(self, path: SampledGroupPath, dim: int, matrices):
+        super().__init__(path.times, path.system, FlatTarget(dim))
+        self.base_path = path
+        self._build = matrices
+        self._matrices: dict = {}
+
+    def matrices(self, s: int) -> dict:
+        hit = self._matrices.get(s)
+        if hit is None:
+            hit = self._matrices[s] = self._build(s)
+        return hit
+
+    def eval(self, s, a, v):
+        c = self.base_path.recenter(s, a, v)
+        return apply_matrices(self.matrices(s), c, self.target.dim)
+
+
+def apply_matrices(mats: dict, c: GradedTensor, dim: int) -> np.ndarray:
+    """sum_k M_k pi_k(c), accumulated in the order of ``mats``."""
+    out = np.zeros(dim)
+    for k, M in mats.items():
+        out = out + M @ c.levels[k]
+    return out
 
 
 # -- rough-integration one-forms ---------------------------------------------------
 
 
-class RoughOneForm(TimeVaryingOneForm):
+def _rough_order(f: LipFunction, p: float) -> int:
+    """[p], after the checks every rough-integration form shares."""
+    if len(f.out_shape) != 2:
+        raise ValueError("rough integration needs a one-form-valued function")
+    if f.gamma <= p - 1.0:
+        raise CertificateError(
+            f"gamma = {f.gamma} must exceed p - 1 = {p - 1}", detail=(f.gamma, p)
+        )
+    return int(math.floor(p))
+
+
+def _taylor_matrices(f: LipFunction, x: np.ndarray, hp: int) -> dict:
+    """``{l + 1: (D^l f)(x)}`` for l < [p], direction slot moved last."""
+    m = f.out_shape[0]
+    return {
+        l + 1: np.moveaxis(f.deriv(l, x), 1, -1).reshape(m, -1)
+        for l in range(min(hp, f.top + 1))
+    }
+
+
+class RoughOneForm(RecenteredForm):
     """One-form of a Lip(gamma) one-form against a word-system path.
 
     ``beta_s(a, v) = sum_{l < [p]} (D^l f)(x_s) pi_{l+1}(g_s^{-1} a (v - v_0))``
@@ -485,50 +495,21 @@ class RoughOneForm(TimeVaryingOneForm):
     """
 
     def __init__(self, f: LipFunction, path: SampledGroupPath, p: float):
-        if len(f.out_shape) != 2:
-            raise ValueError("rough integration needs a one-form-valued function")
+        hp = _rough_order(f, p)
         if not isinstance(path.system, WordSystem):
             raise ValueError("this construction is for the word system")
-        if f.gamma <= p - 1.0:
-            raise CertificateError(
-                f"gamma = {f.gamma} must exceed p - 1 = {p - 1}", detail=(f.gamma, p)
-            )
-        hp = int(math.floor(p))
         if path.level < hp:
             raise ValueError("base path level below [p]")
-        target = FlatTarget(f.out_shape[0])
-        super().__init__(path.times, path.system, target)
+        super().__init__(
+            path, f.out_shape[0], lambda s: _taylor_matrices(f, path.level_one(s), hp)
+        )
         self.f = f
         self.p = p
         self.hp = hp
-        self.base_path = path
         self.theta = (min(f.gamma, float(hp)) + 1.0) / p
-        self._A: dict = {}
-
-    def _derivs(self, s: int):
-        hit = self._A.get(s)
-        if hit is None:
-            x = self.base_path.level_one(s)
-            m = self.f.out_shape[0]
-            hit = [
-                np.moveaxis(self.f.deriv(l, x), 1, -1).reshape(m, -1)
-                for l in range(min(self.hp, self.f.top + 1))
-            ]
-            self._A[s] = hit
-        return hit
-
-    def eval(self, s, a, v):
-        dom = self.domain
-        gi = self.base_path.inverse_value(s)
-        w = dom.mul(a, v - v.scalar() * dom.unit())
-        c = dom.mul(gi, w)
-        out = np.zeros(self.f.out_shape[0])
-        for l, A in enumerate(self._derivs(s)):
-            out = out + A @ c.levels[l + 1]
-        return out
 
 
-class BranchedRoughOneForm(TimeVaryingOneForm):
+class BranchedRoughOneForm(RecenteredForm):
     """Forest-system analogue: corolla-coefficient readout with Taylor weights.
 
     ``beta_s(a, v) = sum_l (1/l!) (D^l f)(x_s) [corolla_{l}](g_s^{-1} a (v - v_0))``
@@ -536,63 +517,32 @@ class BranchedRoughOneForm(TimeVaryingOneForm):
     """
 
     def __init__(self, f: LipFunction, path: SampledGroupPath, p: float):
-        if len(f.out_shape) != 2:
-            raise ValueError("rough integration needs a one-form-valued function")
+        hp = _rough_order(f, p)
         if not isinstance(path.system, ForestSystem):
             raise ValueError("this construction is for the forest system")
-        if f.gamma <= p - 1.0:
-            raise CertificateError(
-                f"gamma = {f.gamma} must exceed p - 1 = {p - 1}", detail=(f.gamma, p)
-            )
-        target = FlatTarget(f.out_shape[0])
-        super().__init__(path.times, path.system, target)
+        super().__init__(path, f.out_shape[0], self._corolla_matrices)
         self.f = f
         self.p = p
-        self.hp = int(math.floor(p))
-        self.base_path = path
-        self.theta = (min(f.gamma, float(self.hp)) + 1.0) / p
-        sysm = path.system
-        self._slots = []
-        for l in range(min(self.hp, f.top + 1)):
-            rows = []
-            for leaves in _tuples_of_labels(l, sysm.d):
+        self.hp = hp
+        self.theta = (min(f.gamma, float(hp)) + 1.0) / p
+
+    def _corolla_matrices(self, s: int) -> dict:
+        sysm, m = self.domain, self.f.out_shape[0]
+        x = self.base_path.level_one(s)
+        mats = {}
+        for l in range(min(self.hp, self.f.top + 1)):
+            D = self.f.deriv(l, x) / math.factorial(l)  # (m, d, d^l)
+            M = np.zeros((m, sysm.dim(l + 1)))
+            for leaves in itertools.product(range(1, sysm.d + 1), repeat=l):
                 for i in range(1, sysm.d + 1):
                     corolla = trees.tree(i, tuple(trees.tree(j) for j in leaves))
-                    rows.append((l, leaves, i, sysm.forest_position(l + 1, (corolla,))))
-            self._slots.append(rows)
-
-    def eval(self, s, a, v):
-        dom = self.domain
-        gi = self.base_path.inverse_value(s)
-        w = dom.mul(a, v - v.scalar() * dom.unit())
-        c = dom.mul(gi, w)
-        x = self.base_path.level_one(s)
-        m = self.f.out_shape[0]
-        out = np.zeros(m)
-        for l, rows in enumerate(self._slots):
-            D = self.f.deriv(l, x)  # (m, d, d^l)
-            fact = math.factorial(l)
-            for _, leaves, i, pos in rows:
-                coeff = c.levels[l + 1][pos]
-                if coeff == 0.0:
-                    continue
-                sel = D[:, i - 1]
-                for j in leaves:
-                    sel = sel[..., j - 1]
-                out = out + sel * coeff / fact
-        return out
+                    pos = sysm.forest_position(l + 1, (corolla,))
+                    M[:, pos] += D[(slice(None), i - 1) + tuple(j - 1 for j in reversed(leaves))]
+            mats[l + 1] = M
+        return mats
 
 
-def _tuples_of_labels(l: int, d: int):
-    if l == 0:
-        yield ()
-        return
-    for first in range(1, d + 1):
-        for rest in _tuples_of_labels(l - 1, d):
-            yield (first,) + rest
-
-
-class TimeVaryingRoughOneForm(TimeVaryingOneForm):
+class TimeVaryingRoughOneForm(RecenteredForm):
     """Rough-integration form with a per-grid-time Lipschitz function.
 
     The compensated regularity of the stack is measured on the grid:
@@ -600,33 +550,21 @@ class TimeVaryingRoughOneForm(TimeVaryingOneForm):
     """
 
     def __init__(self, fs, path: SampledGroupPath, p: float, omega: Control, theta: float):
+        fs = list(fs)
         f0 = fs[0]
         if any(f.gamma != f0.gamma or f.out_shape != f0.out_shape for f in fs):
             raise ValueError("all grid functions must share shape and gamma")
         if len(fs) != len(path):
             raise ValueError("need one function per grid point")
-        if f0.gamma <= p - 1.0:
-            raise CertificateError("gamma must exceed p - 1", detail=(f0.gamma, p))
-        super().__init__(path.times, path.system, FlatTarget(f0.out_shape[0]))
-        self.fs = list(fs)
+        hp = _rough_order(f0, p)
+        super().__init__(
+            path, f0.out_shape[0], lambda s: _taylor_matrices(fs[s], path.level_one(s), hp)
+        )
+        self.fs = fs
         self.p = p
-        self.hp = int(math.floor(p))
-        self.base_path = path
+        self.hp = hp
         self.omega = omega
         self.theta = theta
-
-    def eval(self, s, a, v):
-        dom = self.domain
-        gi = self.base_path.inverse_value(s)
-        w = dom.mul(a, v - v.scalar() * dom.unit())
-        c = dom.mul(gi, w)
-        x = self.base_path.level_one(s)
-        m = self.fs[s].out_shape[0]
-        out = np.zeros(m)
-        for l in range(min(self.hp, self.fs[s].top + 1)):
-            A = np.moveaxis(self.fs[s].deriv(l, x), 1, -1).reshape(m, -1)
-            out = out + A @ c.levels[l + 1]
-        return out
 
     def time_variation_report(self, bound: float | None = None):
         """Per-order Holder quotients of the stack along the path."""
@@ -698,70 +636,41 @@ def slowly_varying_certificate(
     N = len(path)
     dom = beta.domain
     kmax = dom.n if max_degree is None else min(max_degree, dom.n)
-    M = 0.0
-    basis = [
-        [(k, pos) for pos in range(dom.dim(k))] for k in range(dom.n + 1)
-    ]
-    cache: dict = {}
 
-    def probe(s, k, pos):
-        key = (s, k, pos)
-        hit = cache.get(key)
-        if hit is None:
+    def basis(k):
+        for pos in range(dom.dim(k)):
             e = dom.zero()
             e.levels[k][pos] = 1.0
-            hit = beta.eval(s, path.values[s], e)
-            cache[key] = hit
-        return hit
+            yield e
 
+    M = 0.0
     for s in range(N):
         for k in range(dom.n + 1):
-            for _, pos in basis[k]:
-                M = max(M, beta.target.norm(probe(s, k, pos)))
+            for e in basis(k):
+                M = max(M, beta.target.norm(beta.eval(s, path.values[s], e)))
     quotients = {k: 0.0 for k in range(1, kmax + 1)}
     worst_pair = None
     samples = []
-    pairs = [(s, t) for s in range(N - 1) for t in range(s + 1, N)]
-
-    def measure(pair):
-        s, t = pair
-        w = omega(s, t)
-        out = []
-        if w <= 0:
-            return out
-        for k in range(1, kmax + 1):
-            dev = 0.0
-            for _, pos in basis[k]:
-                e = dom.zero()
-                e.levels[k][pos] = 1.0
-                late = beta.eval(t, path.values[t], e)
-                early = beta.eval(s, path.values[t], e)
-                dev = max(dev, beta.target.norm(beta.target.sub(late, early)))
-            out.append((s, t, k, dev, w))
-        return out
-
-    rows = _map_maybe_parallel(measure, pairs)
-    for chunk in rows:
-        for s, t, k, dev, w in chunk:
-            q = dev / w ** (theta - k / p)
-            if keep_samples:
-                samples.append((s, t, k, dev, w))
-            if q > quotients[k]:
-                quotients[k] = q
-                if q >= max(quotients.values()):
-                    worst_pair = (s, t, k)
+    for s in range(N - 1):
+        for t in range(s + 1, N):
+            w = omega(s, t)
+            if w <= 0:
+                continue
+            for k in range(1, kmax + 1):
+                dev = 0.0
+                for e in basis(k):
+                    late = beta.eval(t, path.values[t], e)
+                    early = beta.eval(s, path.values[t], e)
+                    dev = max(dev, beta.target.norm(beta.target.sub(late, early)))
+                q = dev / w ** (theta - k / p)
+                if keep_samples:
+                    samples.append((s, t, k, dev, w))
+                if q > quotients[k]:
+                    quotients[k] = q
+                    if q >= max(quotients.values()):
+                        worst_pair = (s, t, k)
     beta_norm = M + (max(quotients.values()) if quotients else 0.0)
     return SlowVaryingReport(M, theta, p, quotients, beta_norm, worst_pair, samples)
-
-
-def _map_maybe_parallel(fn, items):
-    workers = worker_count()
-    if workers <= 1 or len(items) < 32:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass

@@ -26,7 +26,7 @@ class SampledGroupPath:
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1 or len(values) != self.times.shape[0]:
             raise ValueError("times and values must align")
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
         self.values = list(values)
         self._inverses: list[GradedTensor | None] = [None] * len(values)
@@ -56,6 +56,12 @@ class SampledGroupPath:
         if i == j:
             return self.system.unit()
         return self.system.mul(self.inverse_value(i), self.values[j])
+
+    def recenter(self, s: int, a: GradedTensor, v: GradedTensor) -> GradedTensor:
+        """g_s^{-1} a (v - v_0 1): the direction v at a, seen from the base point g_s."""
+        system = self.system
+        w = system.mul(a, v - v.scalar() * system.unit())
+        return system.mul(self.inverse_value(s), w)
 
     def level_one(self, i: int) -> np.ndarray:
         """Degree-one coefficient block of the i-th value."""
@@ -240,9 +246,6 @@ class Control:
 
     def __add__(self, other: "Control") -> "Control":
         return Control(self.times, lambda i, j: self(i, j) + other(i, j), label=f"{self.label}+{other.label}")
-
-    def scaled(self, c: float) -> "Control":
-        return Control(self.times, lambda i, j: c * self(i, j), label=f"{c}*{self.label}")
 
     def superadditivity_residual(self, samples: int = 200, seed: int = 0) -> float:
         """Most negative value of w(s,t) - w(s,u) - w(u,t) over sampled triples."""

@@ -64,10 +64,6 @@ def _write(obj, out: list):
         out.append(json.dumps(str(obj)))
 
 
-def index_to_str(index: GradedIndex) -> str:
-    return str(index)
-
-
 def parse_index(kind: str, text: str) -> GradedIndex:
     if kind == "nilpotent":
         if text == "()":
@@ -78,7 +74,8 @@ def parse_index(kind: str, text: str) -> GradedIndex:
     return GradedIndex(kind, trees.forest_size(forest), forest)
 
 
-def tensor_to_obj(t: GradedTensor) -> dict:
+def _coeffs_to_obj(t: GradedTensor) -> list:
+    """Nonzero coefficients in canonical index order."""
     system = t.system
     coeffs = []
     for k in range(system.n + 1):
@@ -86,52 +83,52 @@ def tensor_to_obj(t: GradedTensor) -> dict:
             val = t.levels[k][system.index_position(idx)]
             if val != 0.0:
                 coeffs.append({"index": str(idx), "value": float(val)})
-    return {"system": system.kind, "d": system.d, "n": system.n, "coeffs": coeffs}
+    return coeffs
+
+
+def _coeffs_from_obj(system, rows) -> GradedTensor:
+    t = system.zero()
+    for row in rows:
+        idx = parse_index(system.kind, row["index"])
+        value = float(row["value"])
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite coefficient {row['value']!r} at {row['index']}")
+        t.levels[idx.degree][system.index_position(idx)] = value
+    return t
+
+
+def tensor_to_obj(t: GradedTensor) -> dict:
+    system = t.system
+    return {"system": system.kind, "d": system.d, "n": system.n, "coeffs": _coeffs_to_obj(t)}
 
 
 def tensor_from_obj(obj: dict) -> GradedTensor:
     try:
         system = tensor_system(obj["system"], int(obj["d"]), int(obj["n"]))
-        t = system.zero()
-        for row in obj["coeffs"]:
-            idx = parse_index(system.kind, row["index"])
-            t.levels[idx.degree][system.index_position(idx)] = float(row["value"])
-        return t
+        return _coeffs_from_obj(system, obj["coeffs"])
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad tensor object: {exc}") from exc
 
 
 def path_to_obj(path: SampledGroupPath) -> dict:
     system = path.system
-    values = []
-    for v in path.values:
-        coeffs = []
-        for k in range(system.n + 1):
-            for idx in system.indices(k):
-                val = v.levels[k][system.index_position(idx)]
-                if val != 0.0:
-                    coeffs.append({"index": str(idx), "value": float(val)})
-        values.append(coeffs)
     return {
         "system": system.kind,
         "d": system.d,
         "n": system.n,
         "times": [float(t) for t in path.times],
-        "values": values,
+        "values": [_coeffs_to_obj(v) for v in path.values],
     }
 
 
 def path_from_obj(obj: dict) -> SampledGroupPath:
     try:
         system = tensor_system(obj["system"], int(obj["d"]), int(obj["n"]))
-        values = []
-        for coeffs in obj["values"]:
-            t = system.zero()
-            for row in coeffs:
-                idx = parse_index(system.kind, row["index"])
-                t.levels[idx.degree][system.index_position(idx)] = float(row["value"])
-            values.append(t)
-        return SampledGroupPath(system, [float(x) for x in obj["times"]], values)
+        values = [_coeffs_from_obj(system, coeffs) for coeffs in obj["values"]]
+        times = [float(x) for x in obj["times"]]
+        if not np.all(np.isfinite(times)):
+            raise ValueError("non-finite time")
+        return SampledGroupPath(system, times, values)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad path object: {exc}") from exc
 
@@ -157,11 +154,13 @@ def read_csv_path(text: str) -> tuple[np.ndarray, np.ndarray]:
             vals = [float(x) for x in parts]
         except ValueError as exc:
             raise InputError(f"line {i}: {exc}") from exc
+        if not np.all(np.isfinite(vals)):
+            raise InputError(f"line {i}: non-finite value")
         times.append(vals[0])
         rows.append(vals[1:])
     times = np.array(times)
-    if np.any(np.diff(times) <= 0):
-        bad = int(np.argmax(np.diff(times) <= 0)) + 3
+    if not np.all(np.diff(times) > 0):
+        bad = int(np.argmax(~(np.diff(times) > 0))) + 3
         raise InputError(f"line {bad}: times must be strictly increasing")
     if len(times) < 2:
         raise InputError("need at least two samples")

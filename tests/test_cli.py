@@ -278,3 +278,54 @@ def test_extend_forest_path_json(capsys, tmp_path):
     obj = json.loads(out)
     jsonschema.validate(obj, schema("path"))
     assert obj["system"] == "butcher" and obj["n"] == 3
+
+
+@pytest.fixture
+def forest_json(tmp_path):
+    from cocycle import serialize
+    from cocycle.algebra import tensor_system
+    from cocycle.paths import path_from_increments
+    from conftest import random_character
+
+    rng = np.random.default_rng(3)
+    b2 = tensor_system("butcher", 1, 2)
+    incs = [random_character(b2, rng, scale=0.4) for _ in range(5)]
+    path = path_from_increments(b2, np.arange(6.0), incs)
+    f = tmp_path / "forest_path.json"
+    f.write_text(serialize.dumps(serialize.path_to_obj(path)))
+    return str(f)
+
+
+@pytest.mark.parametrize("command", ["integrate", "certify", "iterate"])
+def test_forest_path_coupling_exit_2(command, forest_json, form_file, capsys):
+    extra = ["--form2", form_file] if command == "iterate" else []
+    code, out, err = run_cli(
+        [command, "--form", form_file, *extra, "--p", "2", forest_json], capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InputError" and payload["exit"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["pvar", "--p", "2"], "t,x1\n0,0\nnan,1\n2,3\n"),
+        (["pvar", "--p", "2"], "t,x1\n0,0\n1,inf\n2,3\n"),
+        (["pvar", "--p", "2"], '{"system": "nilpotent", "d": 1, "n": 1, "times": [0, NaN],'
+                               ' "values": [[], [{"index": "1", "value": 1.0}]]}'),
+        (["pvar", "--p", "2"], '{"system": "nilpotent", "d": 1, "n": 1, "times": [0, 1],'
+                               ' "values": [[], [{"index": "1", "value": Infinity}]]}'),
+        (["signature", "--depth", "0"], "t,x1\n0,0\n1,1\n"),
+        (["pvar", "--p", "0.5"], "t,x1\n0,0\n1,1\n"),
+    ],
+    ids=["nan-time", "inf-coordinate", "json-nan-time", "json-inf-coefficient",
+         "depth-0", "p-below-1"],
+)
+def test_bad_input_exit_2(argv, text, capsys):
+    code, out, err = run_cli(argv, stdin_text=text, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InputError" and payload["exit"] == 2

@@ -551,3 +551,28 @@ def test_compose_and_rebase_norm_bounds_stable(rng):
         ratios_rebase.append(rep_reb.beta_norm / bound)
     assert 0.25 < ratios_compose[1] / ratios_compose[0] < 4.0
     assert 0.25 < ratios_rebase[1] / ratios_rebase[0] < 4.0
+
+
+def test_base_matrices_belong_to_their_path(rng, monkeypatch):
+    # every path shares one id: a cache keyed by id(path) would hand the
+    # second path the first path's matrices
+    import cocycle.one_forms
+    from cocycle.one_forms import CallableForm, FlatTarget
+
+    monkeypatch.setattr(cocycle.one_forms, "id", lambda _: 0, raising=False)
+    _, g1, om1 = wiggly_base(rng)
+    _, g2, om2 = wiggly_base(rng)
+    dom = g1.system
+    form = CallableForm(
+        g1.times, dom, FlatTarget(dom.dim(2)),
+        lambda s, a, v: np.array(dom.mul(a, v).levels[2]),
+    )
+    s = 5
+    for g in (g1, g2):
+        want = np.kron(g.values[s].levels[1].reshape(-1, 1), np.eye(dom.dim(1)))
+        assert np.allclose(form.base_matrix(g, s, 1), want, atol=1e-14)
+    d1 = DominatedPath.from_form(g1, form, om1, 1.5, 2.0)
+    d2 = DominatedPath.from_form(g2, form, om2, 1.5, 2.0)
+    for d in (d1, d2):
+        want = np.kron(d.base.values[s].levels[1].reshape(-1, 1), np.eye(dom.dim(1)))
+        assert np.allclose(d.base_matrices(s, [1])[1], want, atol=1e-14)

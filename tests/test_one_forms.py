@@ -442,21 +442,6 @@ def test_truncation_alpha_gives_level_m_increment(rng):
     assert tensor_max_dev(form.eval(0, a, b), s.truncate(b, 2)) < 1e-13
 
 
-def test_certificate_worker_env(rng, monkeypatch):
-    monkeypatch.setenv("COCYCLE_THREADS", "2")
-    ts = np.linspace(0, 1, 34)
-    g = signature_piecewise_linear(ts[:, None], 1, times=ts)
-    om = control_from_pvar(g, 1.5)
-    form = RoughOneForm(
-        LipFunction.from_polynomial([np.zeros((1, 1)), np.ones((1, 1, 1))], gamma=1.0),
-        g, p=1.5,
-    )
-    parallel = slowly_varying_certificate(form, g, om, form.theta, 1.5)
-    monkeypatch.setenv("COCYCLE_THREADS", "1")
-    serial = slowly_varying_certificate(form, g, om, form.theta, 1.5)
-    assert np.isclose(parallel.beta_norm, serial.beta_norm)
-
-
 def test_time_affine_family_same_grid_exact_and_fitted_exponent():
     from cocycle.sewing import loglog_slope, sew
 
