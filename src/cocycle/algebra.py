@@ -67,9 +67,6 @@ class GradedTensor:
     def scalar(self) -> float:
         return float(self.levels[0][0])
 
-    def coeff(self, index: GradedIndex) -> float:
-        return float(self.levels[index.degree][self.system.index_position(index)])
-
     def norm(self) -> float:
         """ell-1 norm over all coefficients (the admissible norm)."""
         return float(sum(np.abs(l).sum() for l in self.levels))
@@ -142,11 +139,6 @@ class HopfSystem:
 
     def from_levels(self, levels) -> GradedTensor:
         return GradedTensor(self, levels)
-
-    def basis_tensor(self, index: GradedIndex) -> GradedTensor:
-        t = self.zero()
-        t.levels[index.degree][self.index_position(index)] = 1.0
-        return t
 
     # -- product -----------------------------------------------------------
     def mul_levels(self, a, b):

@@ -3,12 +3,13 @@
 All subcommands read a CSV path (``t,x1,...,xd``) or a path JSON from a file
 (or stdin), print one deterministic JSON document to stdout, and exit with
 0 on success, 2 on malformed input, 3 on a certificate failure and 4 on
-numeric overflow.
+a numeric failure (overflow, invalid or zero-division floating point).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 
@@ -40,17 +41,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        obj = args.run(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            obj = args.run(args)
     except InputError as exc:
         _fail(exc, 2)
         return 2
     except CertificateError as exc:
         _fail(exc, 3)
         return 3
-    except (OverflowError, FloatingPointError) as exc:
+    except ArithmeticError as exc:
         _fail(exc, 4)
         return 4
-    try:
+    try:  # non-finite output values are refused here, as numeric failures
         sys.stdout.write(dumps(obj) + "\n")
     except OverflowError as exc:
         _fail(exc, 4)
@@ -139,16 +141,23 @@ def _read_text(source: str) -> str:
         raise InputError(f"cannot read {source}: {exc}") from exc
 
 
+def _read_json(source: str, what: str):
+    try:
+        return json.loads(_read_text(source))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad {what} JSON ({source}): {exc}") from exc
+
+
 def _load_path(args, depth: int | None = None) -> SampledGroupPath:
     if args.depth < 1:
         raise InputError(f"--depth must be at least 1, got {args.depth}")
     if not args.p >= 1:
         raise InputError(f"--p must be at least 1, got {args.p}")
+    if args.theta is not None and not math.isfinite(args.theta):
+        raise InputError(f"--theta must be finite, got {args.theta}")
     text = _read_text(args.input)
     want = getattr(args, "system", None)
     if text.lstrip().startswith("{"):
-        import json
-
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -166,17 +175,8 @@ def _load_path(args, depth: int | None = None) -> SampledGroupPath:
     return signature_piecewise_linear(pts, depth or args.depth, times=times)
 
 
-def _check_finite(path: SampledGroupPath):
-    for v in path.values:
-        for l in v.levels:
-            if not np.all(np.isfinite(l)):
-                raise OverflowError("non-finite coefficients in the result path")
-
-
 def cmd_signature(args) -> dict:
-    path = _load_path(args)
-    _check_finite(path)
-    return serialize.path_to_obj(path)
+    return serialize.path_to_obj(_load_path(args))
 
 
 def cmd_pvar(args) -> dict:
@@ -193,11 +193,12 @@ def cmd_pvar(args) -> dict:
 
 def cmd_extend(args) -> dict:
     path = _load_path(args)
+    if args.to_level < path.level:
+        raise InputError(f"--to-level {args.to_level} is below the path level {path.level}")
     for v in path.values:
         if not path.system.grouplike_check(v, max(args.tol, 1e-12) * max(1.0, v.norm())):
             raise InputError("input path values fail the grouplike relations")
     extended, report = extend_to_level(path, args.to_level, args.p, schedule=args.schedule)
-    _check_finite(extended)
     obj = serialize.path_to_obj(extended)
     obj["pvar_ratios"] = [float(r) for r in report.pvar_ratios]
     return obj
@@ -205,13 +206,7 @@ def cmd_extend(args) -> dict:
 
 def _coupling_from_form(args, form_file: str, base: SampledGroupPath | None = None) -> DominatedPath:
     """Rough-integration coupling of a one-form file, over ``base`` or the input path."""
-    import json
-
-    try:
-        form_obj = json.loads(_read_text(form_file))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad one-form JSON ({form_file}): {exc}") from exc
-    f = serialize.one_form_from_obj(form_obj)
+    f = serialize.one_form_from_obj(_read_json(form_file, "one-form"))
     if base is None:
         base = _load_path(args, depth=max(args.depth, int(math.floor(args.p))))
     if not isinstance(base.system, WordSystem):
@@ -244,10 +239,6 @@ def _trace_payload(d: DominatedPath) -> dict:
         {"t": float(t), "value": [float(x) for x in row]}
         for t, row in zip(d.base.times, d.trace)
     ]
-    for row in rows:
-        for x in row["value"]:
-            if not np.isfinite(x):
-                raise OverflowError("non-finite trace value")
     return {"trace": rows, "theta": d.theta, "p": d.p, "certificate": cert}
 
 
@@ -268,23 +259,15 @@ def cmd_product(args) -> dict:
 
 
 def cmd_compose(args) -> dict:
-    import json
-
     d = _coupling_from_form(args, args.form)
-    try:
-        func_obj = json.loads(_read_text(args.func))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad function JSON ({args.func}): {exc}") from exc
-    f = serialize.function_from_obj(func_obj)
+    f = serialize.function_from_obj(_read_json(args.func, "function"))
     return _trace_payload(compose_op(d, f, schedule=args.schedule))
 
 
 def cmd_enhance(args) -> dict:
     d = _coupling_from_form(args, args.form)
     enh = enhance_op(d, schedule=args.schedule)
-    path = enh.as_sampled_path()
-    _check_finite(path)
-    obj = serialize.path_to_obj(path)
+    obj = serialize.path_to_obj(enh.as_sampled_path())
     obj["multiplicativity_residual"] = enh.multiplicativity_residual()
     return obj
 

@@ -46,9 +46,10 @@ from .one_forms import (
     SlowVaryingReport,
     TimeVaryingOneForm,
     apply_matrices,
+    column_norms,
     slowly_varying_certificate,
 )
-from .paths import Control, SampledGroupPath, control_from_pvar, vector_p_variation
+from .paths import Control, SampledGroupPath, control_from_pvar, grid_triples, vector_p_variation
 from .sewing import SewingResult, sew
 
 
@@ -103,11 +104,8 @@ class DominatedPath:
             out[k] = M
         return out
 
-    def certify(self, max_degree: int | None = None, keep_samples: bool = False) -> SlowVaryingReport:
-        report = slowly_varying_certificate(
-            self.form, self.base, self.omega, self.theta, self.p,
-            max_degree=max_degree, keep_samples=keep_samples,
-        )
+    def certify(self) -> SlowVaryingReport:
+        report = slowly_varying_certificate(self.form, self.base, self.omega, self.theta, self.p)
         self.certificate = report
         return report
 
@@ -225,16 +223,14 @@ def product(
     mats2 = [d2.base_matrices(s, degrees) for s in range(len(base))]
     target = FlatTarget(d1.dim * d2.dim)
 
-    def eta1(s, a, v):
-        c = base.recenter(s, a, v)
+    # the three summands, each read off the recentred direction c
+    def eta1(s, c):
         return np.outer(apply_matrices(mats1[s], c, d1.dim), d2.trace[s]).reshape(-1)
 
-    def eta2(s, a, v):
-        c = base.recenter(s, a, v)
+    def eta2(s, c):
         return np.outer(d1.trace[s], apply_matrices(mats2[s], c, d2.dim)).reshape(-1)
 
-    def eta3(s, a, v):
-        c = base.recenter(s, a, v)
+    def eta3(s, c):
         out = np.zeros((d1.dim, d2.dim))
         for k1 in range(1, hp):
             for k2 in range(1, hp - k1 + 1):
@@ -243,12 +239,16 @@ def product(
         return out.reshape(-1)
 
     summands = tuple(
-        CallableForm(base.times, base.system, target, f, base_path=base)
+        CallableForm(
+            base.times, base.system, target,
+            lambda s, a, v, f=f: f(s, base.recenter(s, a, v)), base_path=base,
+        )
         for f in (eta1, eta2, eta3)
     )
 
     def fn(s, a, v):
-        return eta1(s, a, v) + eta2(s, a, v) + eta3(s, a, v)
+        c = base.recenter(s, a, v)
+        return eta1(s, c) + eta2(s, c) + eta3(s, c)
 
     form = CallableForm(base.times, base.system, target, fn, summands=summands, base_path=base)
     omega = d1.omega + d2.omega + control_from_pvar(base, d1.p)
@@ -517,7 +517,11 @@ class ControlledPath:
     def certificate_norm(self) -> float:
         """The combined bound of the weak-control conditions (finite = pass)."""
         N = len(self.base)
-        hp = int(math.floor(self.p))
+        degrees = range(1, int(math.floor(self.p)))
+        own = [
+            {k: self.form.probe_matrix(t, self.low.values[t], k) for k in degrees}
+            for t in range(N)
+        ]
         worst_remainder = 0.0
         worst_var = 0.0
         sup_norm = 0.0
@@ -531,15 +535,11 @@ class ControlledPath:
                     continue
                 dev = float(np.abs(self.increment(s, t) - self.one_step(s, t)).sum())
                 worst_remainder = max(worst_remainder, dev / w ** (self.theta - 1.0 / self.p))
-                for k in range(1, hp):
+                for k in degrees:
                     expo = self.theta - (1 + k) / self.p
-                    for pos in range(self.low.system.dim(k)):
-                        e = self.low.system.zero()
-                        e.levels[k][pos] = 1.0
-                        late = self.form.eval(t, self.low.values[t], e)
-                        early = self.form.eval(s, self.low.values[t], e)
-                        gap = float(np.abs(late - early).sum())
-                        worst_var = max(worst_var, gap / w**expo)
+                    early = self.form.probe_matrix(s, self.low.values[t], k)
+                    gap = float(column_norms(own[t][k] - early).max())
+                    worst_var = max(worst_var, gap / w**expo)
         return sup_norm + worst_remainder + worst_var
 
     def increment(self, s: int, t: int) -> np.ndarray:
@@ -573,19 +573,17 @@ def controlled_iterated_integral(c1: ControlledPath, c2: ControlledPath):
     # integrable-condition residuals of the augmented one-form on triples
     worst = 0.0
     worst_triple = None
-    for s in range(N - 2):
-        for u in range(s + 1, N - 1):
-            for t in range(u + 1, N):
-                w = c1.omega(s, t)
-                if w <= 0:
-                    continue
-                inc = base.recenter(u, base.values[u], base.increment(u, t))
-                lead_dev = np.outer(c1.increment(s, u), c2.increment(u, t))
-                kern_dev = kernel(u, inc) - kernel(s, inc)
-                dev = float(np.abs(lead_dev + kern_dev).max())
-                q = dev / w ** min(c1.theta, (int(math.floor(c1.p)) + 1) / c1.p)
-                if q > worst:
-                    worst, worst_triple = q, (s, u, t)
+    for s, u, t in grid_triples(N):
+        w = c1.omega(s, t)
+        if w <= 0:
+            continue
+        inc = base.recenter(u, base.values[u], base.increment(u, t))
+        lead_dev = np.outer(c1.increment(s, u), c2.increment(u, t))
+        kern_dev = kernel(u, inc) - kernel(s, inc)
+        dev = float(np.abs(lead_dev + kern_dev).max())
+        q = dev / w ** min(c1.theta, (int(math.floor(c1.p)) + 1) / c1.p)
+        if q > worst:
+            worst, worst_triple = q, (s, u, t)
     return trace, {"ratio": worst, "worst_triple": worst_triple}
 
 

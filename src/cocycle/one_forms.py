@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import trees
 from .algebra import ForestSystem, GradedTensor, HopfSystem, WordSystem, tensor_system
-from .paths import Control, SampledGroupPath
+from .paths import Control, SampledGroupPath, grid_triples
 from .shuffles import apply_inverse, ordered_shuffles
 
 
@@ -228,15 +228,18 @@ class TimeVaryingOneForm:
         """beta_{t_j}(g_{t_j}, g_{t_j, t_k})."""
         return self.eval(j, path.values[j], path.increment(j, k))
 
-    def base_matrix(self, path: SampledGroupPath, s: int, k: int) -> np.ndarray:
-        """Matrix of v_k -> beta_s(g_s, v_k) on the degree-k block (flat targets)."""
+    def probe_matrix(self, s: int, a: GradedTensor, k: int) -> np.ndarray:
+        """Matrix of v_k -> beta_s(a, v_k) on the degree-k block (flat targets)."""
         dim = self.domain.dim(k)
         cols = []
         for pos in range(dim):
             e = self.domain.zero()
             e.levels[k][pos] = 1.0
-            cols.append(self.eval(s, path.values[s], e))
+            cols.append(self.eval(s, a, e))
         return np.stack(cols, axis=-1).reshape(-1, dim)
+
+    def base_matrix(self, path: SampledGroupPath, s: int, k: int) -> np.ndarray:
+        return self.probe_matrix(s, path.values[s], k)
 
     def linearity_residual(self, s: int, a: GradedTensor, v1, v2, c1=0.7, c2=-1.3) -> float:
         lhs = self.eval(s, a, c1 * v1 + c2 * v2)
@@ -250,6 +253,11 @@ class TimeVaryingOneForm:
         lhs = self.target.mul(self.eval(s, a, b), self.eval(s, dom.mul(a, b), c))
         rhs = self.eval(s, a, dom.mul(b, c))
         return self.target.norm(self.target.sub(lhs, rhs))
+
+
+def column_norms(M: np.ndarray) -> np.ndarray:
+    """ell-1 norm of each column, each summed as ``FlatTarget.norm`` sums a vector."""
+    return np.abs(np.ascontiguousarray(M.T)).sum(axis=1)
 
 
 def _scale(x, c):
@@ -568,15 +576,15 @@ class TimeVaryingRoughOneForm(RecenteredForm):
 
     def time_variation_report(self, bound: float | None = None):
         """Per-order Holder quotients of the stack along the path."""
-        N = len(self.base_path)
+        xs = [self.base_path.level_one(t) for t in range(len(self.base_path))]
+        own = [[f.deriv(l, x) for l in range(self.hp)] for f, x in zip(self.fs, xs)]
         rows = []
         worst = {}
         for l in range(self.hp):
             expo = self.theta - (l + 1) / self.p
-            for s in range(N - 1):
-                for t in range(s + 1, N):
-                    x_t = self.base_path.level_one(t)
-                    dev = float(np.abs(self.fs[t].deriv(l, x_t) - self.fs[s].deriv(l, x_t)).max())
+            for s in range(len(xs) - 1):
+                for t in range(s + 1, len(xs)):
+                    dev = float(np.abs(own[t][l] - self.fs[s].deriv(l, xs[t])).max())
                     w = self.omega(s, t)
                     if w <= 0:
                         continue
@@ -611,7 +619,6 @@ class SlowVaryingReport:
     quotients: dict
     beta_norm: float
     worst_pair: tuple | None = None
-    samples: list = field(default_factory=list)
 
     @property
     def bounded(self) -> bool:
@@ -624,53 +631,38 @@ def slowly_varying_certificate(
     omega: Control,
     theta: float,
     p: float,
-    max_degree: int | None = None,
-    keep_samples: bool = False,
 ) -> SlowVaryingReport:
-    """Measure the slowly-varying norm of a form along a path.
+    """Measure the slowly-varying norm of a flat-target form along a path.
 
-    Operator norms are exact maxima over the coefficient basis; Holder
-    quotients run over all grid pairs and degrees 1..[p] (capped at the
-    domain level).
+    Operator norms are exact maxima over the coefficient basis: each time's
+    own matrices ``P_t = probe(t, g_t)`` are probed once, and a pair (s, t)
+    only adds the early probe ``probe(s, g_t)``.  Holder quotients run over
+    all grid pairs and degrees 1..n of the domain.
     """
     N = len(path)
-    dom = beta.domain
-    kmax = dom.n if max_degree is None else min(max_degree, dom.n)
-
-    def basis(k):
-        for pos in range(dom.dim(k)):
-            e = dom.zero()
-            e.levels[k][pos] = 1.0
-            yield e
-
+    n = beta.domain.n
+    own = [[beta.probe_matrix(t, path.values[t], k) for k in range(n + 1)] for t in range(N)]
     M = 0.0
-    for s in range(N):
-        for k in range(dom.n + 1):
-            for e in basis(k):
-                M = max(M, beta.target.norm(beta.eval(s, path.values[s], e)))
-    quotients = {k: 0.0 for k in range(1, kmax + 1)}
+    for mats in own:
+        for P in mats:
+            M = max(M, float(column_norms(P).max()))
+    quotients = {k: 0.0 for k in range(1, n + 1)}
     worst_pair = None
-    samples = []
     for s in range(N - 1):
         for t in range(s + 1, N):
             w = omega(s, t)
             if w <= 0:
                 continue
-            for k in range(1, kmax + 1):
-                dev = 0.0
-                for e in basis(k):
-                    late = beta.eval(t, path.values[t], e)
-                    early = beta.eval(s, path.values[t], e)
-                    dev = max(dev, beta.target.norm(beta.target.sub(late, early)))
+            for k in range(1, n + 1):
+                early = beta.probe_matrix(s, path.values[t], k)
+                dev = float(column_norms(own[t][k] - early).max())
                 q = dev / w ** (theta - k / p)
-                if keep_samples:
-                    samples.append((s, t, k, dev, w))
                 if q > quotients[k]:
                     quotients[k] = q
                     if q >= max(quotients.values()):
                         worst_pair = (s, t, k)
     beta_norm = M + (max(quotients.values()) if quotients else 0.0)
-    return SlowVaryingReport(M, theta, p, quotients, beta_norm, worst_pair, samples)
+    return SlowVaryingReport(M, theta, p, quotients, beta_norm, worst_pair)
 
 
 @dataclass
@@ -704,13 +696,9 @@ def integrable_condition_check(
     for s in range(N - 1):
         for t in range(s + 1, N):
             M = max(M, tgt.sigma_max_norm(beta.eval_pair(path, s, t)))
-    triples = [(s, u, t) for s in range(N) for u in range(s + 1, N) for t in range(u + 1, N)]
-    if len(triples) > max_triples:
-        stride = len(triples) // max_triples + 1
-        triples = triples[::stride]
     ratio, worst = 0.0, None
     frozen = True
-    for s, u, t in triples:
+    for s, u, t in grid_triples(N, max_triples):
         inc = path.increment(u, t)
         if frozen and any(np.abs(l).max() > 1e-14 for l in inc.levels[1:]):
             frozen = False

@@ -11,6 +11,8 @@ p-variation is computed exactly over the sample grid by dynamic programming
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,35 +119,31 @@ class SampledGroupPath:
         return dist
 
 
+def grid_triples(N: int, max_triples: int | None = None):
+    """Grid triples s < u < t in lexicographic order, lazily.
+
+    With a cap, every stride-th triple, ``stride = C(N, 3) // max_triples + 1``,
+    so memory stays O(1) whatever N is.
+    """
+    total = math.comb(N, 3)
+    stride = 1 if max_triples is None or total <= max_triples else total // max_triples + 1
+    return itertools.islice(itertools.combinations(range(N), 3), 0, None, stride)
+
+
 def chen_residual(path: SampledGroupPath, max_triples: int | None = None) -> float:
     """Largest coefficient residual of increment(s,u) increment(u,t) -
     increment(s,t) over grid triples s < u < t."""
     system = path.system
     N = len(path)
-    triples = [(s, u, t) for s in range(N) for u in range(s + 1, N) for t in range(u + 1, N)]
-    if max_triples is not None and len(triples) > max_triples:
-        step = len(triples) // max_triples + 1
-        triples = triples[::step]
-    if isinstance(system, WordSystem) and len(triples) > 64:
-        return _chen_residual_batched(path, triples)
-    worst = 0.0
-    for s, u, t in triples:
-        lhs = system.mul(path.increment(s, u), path.increment(u, t))
-        rhs = path.increment(s, t)
-        worst = max(worst, max(float(np.abs(a - b).max()) for a, b in zip(lhs.levels, rhs.levels)))
-    return worst
-
-
-def _chen_residual_batched(path: SampledGroupPath, triples) -> float:
-    system = path.system
-    N = len(path)
+    tri = np.array(list(grid_triples(N, max_triples)), dtype=np.int64).reshape(-1, 3)
+    if len(tri) == 0:
+        return 0.0
     stacked = [np.stack([v.levels[k] for v in path.values]) for k in range(system.n + 1)]
     inv = system.inverse_levels(stacked)
     # all ordered-pair increments, addressed as i * N + j
     ii, jj = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
     ii, jj = ii.reshape(-1), jj.reshape(-1)
     incs = system.mul_levels([l[ii] for l in inv], [l[jj] for l in stacked])
-    tri = np.asarray(triples, dtype=np.int64)
     s, u, t = tri[:, 0], tri[:, 1], tri[:, 2]
     prod = system.mul_levels(
         [l[s * N + u] for l in incs], [l[u * N + t] for l in incs]

@@ -176,18 +176,9 @@ def one_form_from_obj(obj: dict) -> LipFunction:
     try:
         d = int(obj["d"])
         m = int(obj["target_dim"])
-        degree = int(obj["degree"])
-        arrays = [np.asarray(a, dtype=float) for a in obj["derivatives"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad one-form object: {exc}") from exc
-    if len(arrays) != degree + 1:
-        raise InputError(f"degree {degree} needs {degree + 1} derivative arrays")
-    for l, arr in enumerate(arrays):
-        want = (m, d) + (d,) * l
-        if arr.shape != want:
-            raise InputError(f"derivative {l}: shape {arr.shape}, want {want}")
-    gamma = obj.get("gamma")
-    return LipFunction.from_polynomial(arrays, gamma=float(gamma) if gamma else None)
+    return _polynomial_from_obj(obj, "one-form", lambda l: (m, d) + (d,) * l)
 
 
 def function_from_obj(obj: dict) -> LipFunction:
@@ -195,15 +186,30 @@ def function_from_obj(obj: dict) -> LipFunction:
     try:
         in_dim = int(obj["in_dim"])
         out_dim = int(obj["out_dim"])
-        degree = int(obj["degree"])
-        arrays = [np.asarray(a, dtype=float) for a in obj["derivatives"]]
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad function object: {exc}") from exc
-    if len(arrays) != degree + 1:
-        raise InputError(f"degree {degree} needs {degree + 1} derivative arrays")
+    return _polynomial_from_obj(obj, "function", lambda l: (out_dim,) + (in_dim,) * l)
+
+
+def _polynomial_from_obj(obj: dict, what: str, shape) -> LipFunction:
+    """Finite derivative arrays of the wanted shapes, and an optional finite gamma."""
+    try:
+        degree = int(obj["degree"])
+        arrays = [np.asarray(a, dtype=float) for a in obj["derivatives"]]
+        gamma = obj.get("gamma")
+        gamma = None if gamma is None else float(gamma)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"bad {what} object: {exc}") from exc
+    if degree < 0 or len(arrays) != degree + 1:
+        raise InputError(f"degree {degree} needs degree + 1 >= 1 derivative arrays, got {len(arrays)}")
     for l, arr in enumerate(arrays):
-        want = (out_dim,) + (in_dim,) * l
-        if arr.shape != want:
-            raise InputError(f"derivative {l}: shape {arr.shape}, want {want}")
-    gamma = obj.get("gamma")
-    return LipFunction.from_polynomial(arrays, gamma=float(gamma) if gamma else None)
+        if arr.shape != shape(l):
+            raise InputError(f"derivative {l}: shape {arr.shape}, want {shape(l)}")
+        if not np.all(np.isfinite(arr)):
+            raise InputError(f"derivative {l}: non-finite value")
+    if gamma is not None and not np.isfinite(gamma):
+        raise InputError(f"non-finite gamma {gamma!r}")
+    try:
+        return LipFunction.from_polynomial(arrays, gamma=gamma)
+    except ValueError as exc:  # derivative slots that are not symmetric
+        raise InputError(f"bad {what} object: {exc}") from exc

@@ -220,7 +220,6 @@ def sew(
     schedule: str = "ltr",
     certificate: IntegrableReport | None = None,
     check: bool = True,
-    max_check_triples: int = 2048,
 ) -> SewingResult:
     """Integrate a time-varying cocyclic one-form against a sampled path.
 
@@ -231,7 +230,7 @@ def sew(
     if theta <= 1.0:
         raise CertificateError(f"theta = {theta} is at or below the Young threshold")
     if certificate is None and check:
-        certificate = integrable_condition_check(beta, path, omega, theta, max_check_triples)
+        certificate = integrable_condition_check(beta, path, omega, theta, max_triples=2048)
     if certificate is not None and not certificate.ok:
         raise CertificateError(
             "integrable condition failed", detail=certificate

@@ -308,6 +308,25 @@ def test_forest_path_coupling_exit_2(command, forest_json, form_file, capsys):
     assert payload["error"] == "InputError" and payload["exit"] == 2
 
 
+NAN_FORM = '{"d": 1, "target_dim": 1, "degree": 1, "derivatives": [[[NaN]], [[[1.0]]]]}'
+ASYMMETRIC_FORM = json.dumps({
+    "d": 2, "target_dim": 1, "degree": 2,
+    "derivatives": [[[0.0, 0.0]], [[[1.0, 0.0], [0.0, 1.0]]],
+                    [[[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]],
+})
+LINEAR_FORM = '{"d": 1, "target_dim": 1, "degree": 1, "derivatives": [[[0.0]], [[[1.0]]]]}'
+HUGE_FORM = '{"d": 1, "target_dim": 1, "degree": 1, "derivatives": [[[1e308]], [[[1.0]]]]}'
+
+
+def form_args(argv, tmp_path, **forms):
+    """Write the named form texts to files and substitute their paths."""
+    files = {}
+    for name, text in forms.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(text)
+    return [a.format(**files) for a in argv]
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -319,13 +338,37 @@ def test_forest_path_coupling_exit_2(command, forest_json, form_file, capsys):
                                ' "values": [[], [{"index": "1", "value": Infinity}]]}'),
         (["signature", "--depth", "0"], "t,x1\n0,0\n1,1\n"),
         (["pvar", "--p", "0.5"], "t,x1\n0,0\n1,1\n"),
+        (["certify", "--p", "2", "--form", "{nan}"], "t,x1\n0,0\n1,1\n2,0\n"),
+        (["integrate", "--p", "2", "--form", "{asymmetric}"], "t,x1,x2\n0,0,0\n1,1,0\n"),
+        (["integrate", "--p", "2", "--theta", "nan", "--form", "{nan}"], "t,x1\n0,0\n1,1\n"),
+        (["extend", "--depth", "2", "--to-level", "1"], "t,x1\n0,0\n1,1\n2,0\n"),
     ],
     ids=["nan-time", "inf-coordinate", "json-nan-time", "json-inf-coefficient",
-         "depth-0", "p-below-1"],
+         "depth-0", "p-below-1", "nan-form", "asymmetric-form", "theta-nan",
+         "to-level-below-depth"],
 )
-def test_bad_input_exit_2(argv, text, capsys):
+def test_bad_input_exit_2(argv, text, capsys, tmp_path):
+    argv = form_args(argv, tmp_path, nan=NAN_FORM, asymmetric=ASYMMETRIC_FORM)
     code, out, err = run_cli(argv, stdin_text=text, capsys=capsys)
     assert code == 2
     assert out == ""
     payload = json.loads(err)
     assert payload["error"] == "InputError" and payload["exit"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["integrate", "--p", "2", "--theta", "1e9", "--form", "{form}"],
+        ["product", "--p", "2", "--form", "{huge}", "--form2", "{huge}"],
+        ["enhance", "--p", "2", "--form", "{huge}"],
+    ],
+    ids=["theta-underflow", "huge-form-product", "huge-form-enhance"],
+)
+def test_numeric_failure_exit_4_one_json_document(argv, wiggle_csv, capsys, tmp_path):
+    argv = form_args(argv, tmp_path, huge=HUGE_FORM, form=LINEAR_FORM) + [wiggle_csv]
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code == 4
+    assert out == ""
+    payload = json.loads(err)  # the whole of stderr is one JSON document
+    assert payload["exit"] == 4

@@ -410,6 +410,61 @@ class TestCertificates:
         assert quotients[2] < 2.0 * quotients[0] + 1e-12
 
 
+def loop_certificate(form, g, om, theta, p):
+    """Reference: M and quotients probed one basis vector and one pair at a time."""
+    dom, N = g.system, len(g)
+
+    def probes(s, a, k):
+        for pos in range(dom.dim(k)):
+            e = dom.zero()
+            e.levels[k][pos] = 1.0
+            yield form.eval(s, a, e)
+
+    M = max(
+        float(np.abs(x).sum())
+        for s in range(N) for k in range(dom.n + 1) for x in probes(s, g.values[s], k)
+    )
+    quotients = {k: 0.0 for k in range(1, dom.n + 1)}
+    for s in range(N - 1):
+        for t in range(s + 1, N):
+            for k in quotients:
+                pairs = zip(probes(t, g.values[t], k), probes(s, g.values[t], k))
+                dev = max(float(np.abs(late - early).sum()) for late, early in pairs)
+                quotients[k] = max(quotients[k], dev / om(s, t) ** (theta - k / p))
+    return M, quotients
+
+
+def test_certificate_probes_each_own_matrix_once(monkeypatch):
+    # beta_t(g_t, e) does not depend on the pair: one probe per (t, basis vector)
+    pts = np.random.default_rng(5).normal(size=(8, 2)).cumsum(axis=0) * 0.3
+    g = signature_piecewise_linear(pts, 2)
+    form = RoughOneForm(linear_one_form(d=2, m=2), g, p=2.0)
+    om = control_from_pvar(g, 2.0)
+    want = loop_certificate(form, g, om, form.theta, 2.0)
+    calls = []
+    evaluate = form.eval
+
+    def counting_eval(s, a, v):
+        calls.append((s, a, v))
+        return evaluate(s, a, v)
+
+    monkeypatch.setattr(form, "eval", counting_eval)
+    report = slowly_varying_certificate(form, g, om, form.theta, 2.0)
+    assert (report.M, report.quotients) == want
+    own = [
+        (s, k, int(np.flatnonzero(v.levels[k])[0]))
+        for s, a, v in calls
+        if a is g.values[s]
+        for k in range(len(v.levels))
+        if v.levels[k].any()
+    ]
+    basis = sum(g.system.dim(k) for k in range(g.level + 1))
+    assert len(own) == len(set(own)) == len(g) * basis
+    # the rest are the early probes: one per pair and basis vector of degree >= 1
+    pairs = len(g) * (len(g) - 1) // 2
+    assert len(calls) - len(own) == pairs * (basis - 1)
+
+
 def test_mixed_smoothness_form(rng):
     # a one-form depending on a second, slower path: F_s = alpha(., h_s)
     from cocycle.one_forms import mixed_one_form

@@ -9,6 +9,7 @@ from cocycle.paths import (
     SampledGroupPath,
     chen_residual,
     control_from_pvar,
+    grid_triples,
     p_variation,
     path_from_increments,
     signature_of_segment,
@@ -74,7 +75,7 @@ def test_chen_batched_matches_loop(rng):
     pts = rng.normal(size=(9, 2)).cumsum(axis=0) * 0.5
     path = signature_piecewise_linear(pts, 2)
     batched = chen_residual(path)
-    # force the loop route
+    # reference: one triple at a time
     worst = 0.0
     s = path.system
     N = len(path)
@@ -84,6 +85,16 @@ def test_chen_batched_matches_loop(rng):
                 lhs = s.mul(path.increment(a, b), path.increment(b, c))
                 worst = max(worst, tensor_max_dev(lhs, path.increment(a, c)))
     assert abs(batched - worst) < 1e-13
+
+
+@pytest.mark.parametrize("N", [0, 2, 3, 9, 40])
+@pytest.mark.parametrize("cap", [None, 1, 100, 10**6])
+def test_grid_triples_is_the_strided_triple_list(N, cap):
+    # the full lexicographic list, then every stride-th triple
+    full = [(s, u, t) for s in range(N) for u in range(s + 1, N) for t in range(u + 1, N)]
+    if cap is not None and len(full) > cap:
+        full = full[:: len(full) // cap + 1]
+    assert list(grid_triples(N, cap)) == full
 
 
 def test_butcher_path_from_increments(rng):

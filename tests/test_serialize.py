@@ -123,3 +123,29 @@ def test_function_file_validation():
     assert f.out_shape == (1,)
     with pytest.raises(serialize.InputError, match="shape"):
         serialize.function_from_obj(dict(good, derivatives=[[0.0], [[0.0, 1.0]], [[[2.0]]]]))
+
+
+def test_polynomial_gamma_zero_is_kept():
+    # an explicit gamma of 0 is a value, not a request for the default
+    form = serialize.one_form_from_obj(
+        {"d": 1, "target_dim": 1, "degree": 1, "gamma": 0, "derivatives": [[[0.0]], [[[1.0]]]]}
+    )
+    func = serialize.function_from_obj(
+        {"in_dim": 1, "out_dim": 1, "degree": 1, "gamma": 0, "derivatives": [[0.0], [[1.0]]]}
+    )
+    assert form.gamma == 0.0 and func.gamma == 0.0
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"d": 1, "target_dim": 1, "degree": 1, "derivatives": [[[float("nan")]], [[[1.0]]]]},
+        {"d": 1, "target_dim": 1, "degree": 0, "gamma": float("inf"), "derivatives": [[[1.0]]]},
+        {"in_dim": 1, "out_dim": 1, "degree": 1, "derivatives": [[0.0], [[float("-inf")]]]},
+    ],
+    ids=["nan-derivative", "inf-gamma", "inf-function-derivative"],
+)
+def test_non_finite_polynomial_files_rejected(obj):
+    read = serialize.one_form_from_obj if "d" in obj else serialize.function_from_obj
+    with pytest.raises(serialize.InputError, match="non-finite"):
+        read(obj)
