@@ -223,8 +223,11 @@ class HopfSystem:
         return self.from_levels([(c**k) * l for k, l in enumerate(a.levels)])
 
     # -- norms ---------------------------------------------------------------
-    def homogeneous_norm(self, a: GradedTensor) -> float:
-        """Sum over graded projections of the degree-rooted coefficient norm."""
+    def homogeneous_norm(self, a):
+        """Sum over graded projections of the degree-rooted coefficient norm.
+
+        ``a`` is a tensor or a level list; leading axes of the levels batch.
+        """
         raise NotImplementedError
 
     def sigma_max_norm(self, a: GradedTensor) -> float:
@@ -292,14 +295,12 @@ class WordSystem(HopfSystem):
             out.append(acc)
         return out
 
-    def homogeneous_norm(self, a: GradedTensor) -> float:
-        return float(
-            sum(
-                float(np.abs(l).sum()) ** (1.0 / k)
-                for k, l in enumerate(a.levels)
-                if k >= 1 and np.abs(l).sum() > 0
-            )
-        )
+    def homogeneous_norm(self, a):
+        levels = getattr(a, "levels", a)
+        # np.power, not **: one tensor's sum is a numpy scalar, whose ** rounds
+        # unlike the array power of a batch
+        terms = (np.power(np.abs(levels[k]).sum(axis=-1), 1.0 / k) for k in range(1, self.n + 1))
+        return sum(terms, 0.0)
 
     def sigma_max_norm(self, a: GradedTensor) -> float:
         return max(float(np.abs(l).sum()) for l in a.levels)
@@ -398,21 +399,14 @@ class ForestSystem(HopfSystem):
             acc = a[k] * b[0][..., :] + a[0][..., :] * b[k]
             for (j1, j2), (oi, li, ri, c) in self._table[k].items():
                 vals = a[j1][..., li] * b[j2][..., ri] * c
-                if acc.ndim == 1:
-                    np.add.at(acc, oi, vals)
-                else:
-                    flat = acc.reshape(-1, acc.shape[-1])
-                    vflat = vals.reshape(-1, vals.shape[-1])
-                    for r in range(flat.shape[0]):
-                        np.add.at(flat[r], oi, vflat[r])
+                np.add.at(acc, (..., oi), vals)
             out.append(acc)
         return out
 
-    def homogeneous_norm(self, a: GradedTensor) -> float:
-        total = 0.0
-        for k in range(1, self.n + 1):
-            total += float(np.sum(np.abs(a.levels[k]) ** (1.0 / k)))
-        return total
+    def homogeneous_norm(self, a):
+        levels = getattr(a, "levels", a)
+        terms = (np.sum(np.abs(levels[k]) ** (1.0 / k), axis=-1) for k in range(1, self.n + 1))
+        return sum(terms, 0.0)
 
     def sigma_max_norm(self, a: GradedTensor) -> float:
         worst = abs(a.scalar())

@@ -200,7 +200,7 @@ def cmd_extend(args) -> dict:
             raise InputError("input path values fail the grouplike relations")
     extended, report = extend_to_level(path, args.to_level, args.p, schedule=args.schedule)
     obj = serialize.path_to_obj(extended)
-    obj["pvar_ratios"] = [float(r) for r in report.pvar_ratios]
+    obj["pvar_ratios"] = [None if r is None else float(r) for r in report.pvar_ratios]
     return obj
 
 

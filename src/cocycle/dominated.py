@@ -159,7 +159,7 @@ def coordinate_coupling(base: SampledGroupPath, omega: Control, theta: float, p:
         return np.array(w.levels[1])
 
     form = CallableForm(base.times, dom, target, fn, base_path=base)
-    trace = np.stack([np.array(v.levels[1]) for v in base.values])
+    trace = base.levels[1].copy()
     res = sew(form, base, omega, theta, check=False)
     return DominatedPath(base, form, trace[0], trace, omega, theta, p, result=res)
 
@@ -340,6 +340,8 @@ class GroupEnhancement:
     def multiplicativity_residual(self, samples: int = 64, seed: int = 0) -> float:
         rng = np.random.default_rng(seed)
         N = len(self.values)
+        if N < 3:  # no triples
+            return 0.0
         worst = 0.0
         for _ in range(samples):
             s, u, t = sorted(rng.choice(N, size=3, replace=False))
@@ -425,9 +427,8 @@ def rebase(
     gamma_path = enhancement.as_sampled_path()
     if not np.array_equal(outer.base.times, gamma_path.times):
         raise ValueError("outer coupling does not live over this enhancement")
-    for a, b in zip(outer.base.values, gamma_path.values):
-        if max(float(np.abs(x - y).max()) for x, y in zip(a.levels, b.levels)) > 1e-9:
-            raise ValueError("outer coupling does not live over this enhancement")
+    if max(float(np.abs(x - y).max()) for x, y in zip(outer.base.levels, gamma_path.levels)) > 1e-9:
+        raise ValueError("outer coupling does not live over this enhancement")
     base = enhancement.source.base
     enh_system = enhancement.system
     target = outer.form.target

@@ -28,10 +28,11 @@ def lift_into_group(a: GradedTensor, tol: float = 1e-8) -> GradedTensor:
 
     Word system: exponentiate the logarithm at the higher truncation.  Forest
     system: extend the character multiplicatively (new-degree forests get the
-    product of their tree values; genuinely new trees get zero).
+    product of their tree values; genuinely new trees get zero).  The
+    grouplike test is relative: ``tol * max(1, |a|)``.
     """
     system = a.system
-    if not system.grouplike_check(a, tol):
+    if not system.grouplike_check(a, tol * max(1.0, a.norm())):
         raise ValueError("lift needs a grouplike input")
     upper = tensor_system(system.kind, system.d, system.n + 1)
     if isinstance(system, WordSystem):
@@ -70,7 +71,7 @@ class ExtensionReport:
 
     p: float
     levels: list = field(default_factory=list)
-    pvar_ratios: list = field(default_factory=list)  # |g^{m+1}| / |g^m| per level
+    pvar_ratios: list = field(default_factory=list)  # |g^{m+1}| / |g^m| per level; None if |g^m| = 0
 
 
 def extend_one_level(
@@ -128,7 +129,7 @@ def extend_to_level(
     base_pvar = p_variation(cur, p)
     while cur.level < n:
         nxt = extend_one_level(cur, p, schedule=schedule, lift=lift)
-        ratio = p_variation(nxt, p) / base_pvar if base_pvar > 0 else float("nan")
+        ratio = p_variation(nxt, p) / base_pvar if base_pvar > 0 else None
         report.levels.append(nxt.level)
         report.pvar_ratios.append(ratio)
         cur = nxt
@@ -137,8 +138,4 @@ def extend_to_level(
 
 def projection_residual(extended: SampledGroupPath, base: SampledGroupPath) -> float:
     """Largest coefficient deviation of the truncated extension from the base."""
-    worst = 0.0
-    for ve, vb in zip(extended.values, base.values):
-        trunc = extended.system.truncate(ve, base.level)
-        worst = max(worst, max(float(np.abs(a - b).max()) for a, b in zip(trunc.levels, vb.levels)))
-    return worst
+    return max(float(np.abs(a - b).max()) for a, b in zip(extended.levels, base.levels))

@@ -5,8 +5,11 @@ one group element per grid point.  Signatures of piecewise-linear data are
 built from segment exponentials via Chen products, so every constructed value
 is grouplike and increments are multiplicative by construction.
 
-p-variation is computed exactly over the sample grid by dynamic programming
-(quadratic in the number of points; pairwise increment norms are cached).
+The levels of the values are stacked once, as ``(N, dim_k)`` arrays, and
+:meth:`SampledGroupPath.increments` is the one batched route to increments.
+p-variation is computed exactly over the sample grid by dynamic programming,
+one row per start index, grown on demand (pairwise increment norms are
+cached).
 """
 
 from __future__ import annotations
@@ -14,14 +17,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import GradedTensor, HopfSystem, WordSystem, tensor_system
+from .algebra import GradedTensor, HopfSystem, tensor_system
 
 
 class SampledGroupPath:
-    """Time grid plus grouplike values; increments g_s^{-1} g_t on demand."""
+    """Time grid plus grouplike values; increments g_s^{-1} g_t on demand.
+
+    ``levels[k]`` stacks the degree-k blocks of the values as an ``(N, dim_k)``
+    array; ``inverse_levels`` are those of the inverses, computed once when
+    first needed.
+    """
 
     def __init__(self, system: HopfSystem, times, values, validate: bool = False):
         self.system = system
@@ -31,7 +40,11 @@ class SampledGroupPath:
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
         self.values = list(values)
-        self._inverses: list[GradedTensor | None] = [None] * len(values)
+        N = len(self.values)
+        self.levels = [
+            np.array([v.levels[k] for v in self.values], dtype=float).reshape(N, system.dim(k))
+            for k in range(system.n + 1)
+        ]
         self._dist: np.ndarray | None = None
         if validate:
             for v in self.values:
@@ -49,15 +62,23 @@ class SampledGroupPath:
     def level(self) -> int:
         return self.system.n
 
+    @cached_property
+    def inverse_levels(self) -> list:
+        return self.system.inverse_levels(self.levels)
+
+    def increments(self, i, j) -> list:
+        """Stacked levels of g_i^{-1} g_j; the index arrays ``i`` and ``j`` broadcast."""
+        return self.system.mul_levels(
+            [l[i] for l in self.inverse_levels], [l[j] for l in self.levels]
+        )
+
     def inverse_value(self, i: int) -> GradedTensor:
-        if self._inverses[i] is None:
-            self._inverses[i] = self.system.inverse(self.values[i])
-        return self._inverses[i]
+        return GradedTensor(self.system, [l[i] for l in self.inverse_levels])
 
     def increment(self, i: int, j: int) -> GradedTensor:
         if i == j:
             return self.system.unit()
-        return self.system.mul(self.inverse_value(i), self.values[j])
+        return GradedTensor(self.system, self.increments(i, j))
 
     def recenter(self, s: int, a: GradedTensor, v: GradedTensor) -> GradedTensor:
         """g_s^{-1} a (v - v_0 1): the direction v at a, seen from the base point g_s."""
@@ -67,7 +88,7 @@ class SampledGroupPath:
 
     def level_one(self, i: int) -> np.ndarray:
         """Degree-one coefficient block of the i-th value."""
-        return np.array(self.values[i].levels[1])
+        return self.levels[1][i].copy()
 
     def dilate(self, c: float) -> "SampledGroupPath":
         return SampledGroupPath(
@@ -86,37 +107,16 @@ class SampledGroupPath:
         ok = np.abs(other.times[pos] - self.times) <= tol
         return bool(np.all(ok))
 
-    # -- increment norm cache ------------------------------------------------
     def increment_norms(self) -> np.ndarray:
-        """Homogeneous norms of all pairwise increments (i < j)."""
+        """Homogeneous norms of all pairwise increments (i < j), one row of pairs at a time."""
         if self._dist is None:
             N = len(self)
             dist = np.zeros((N, N))
-            if isinstance(self.system, WordSystem):
-                dist = self._increment_norms_batched()
-            else:
-                for i in range(N):
-                    for j in range(i + 1, N):
-                        dist[i, j] = self.system.homogeneous_norm(self.increment(i, j))
+            for i in range(N - 1):
+                rest = np.arange(i + 1, N)
+                dist[i, i + 1 :] = self.system.homogeneous_norm(self.increments(i, rest))
             self._dist = dist
         return self._dist
-
-    def _increment_norms_batched(self) -> np.ndarray:
-        system = self.system
-        N = len(self)
-        stacked = [np.stack([v.levels[k] for v in self.values]) for k in range(system.n + 1)]
-        inv = system.inverse_levels(stacked)
-        dist = np.zeros((N, N))
-        for i in range(N - 1):
-            left = [l[i] for l in inv]
-            rows = system.mul_levels([l[None, :] for l in left], [l[i + 1 :] for l in stacked])
-            norms = np.zeros(N - i - 1)
-            for k in range(1, system.n + 1):
-                block = np.abs(rows[k]).sum(axis=-1)
-                nz = block > 0
-                norms[nz] += block[nz] ** (1.0 / k)
-            dist[i, i + 1 :] = norms
-        return dist
 
 
 def grid_triples(N: int, max_triples: int | None = None):
@@ -130,27 +130,19 @@ def grid_triples(N: int, max_triples: int | None = None):
     return itertools.islice(itertools.combinations(range(N), 3), 0, None, stride)
 
 
+CHEN_CHUNK = 4096  # triples per batched product in chen_residual
+
+
 def chen_residual(path: SampledGroupPath, max_triples: int | None = None) -> float:
     """Largest coefficient residual of increment(s,u) increment(u,t) -
-    increment(s,t) over grid triples s < u < t."""
-    system = path.system
-    N = len(path)
-    tri = np.array(list(grid_triples(N, max_triples)), dtype=np.int64).reshape(-1, 3)
-    if len(tri) == 0:
-        return 0.0
-    stacked = [np.stack([v.levels[k] for v in path.values]) for k in range(system.n + 1)]
-    inv = system.inverse_levels(stacked)
-    # all ordered-pair increments, addressed as i * N + j
-    ii, jj = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    ii, jj = ii.reshape(-1), jj.reshape(-1)
-    incs = system.mul_levels([l[ii] for l in inv], [l[jj] for l in stacked])
-    s, u, t = tri[:, 0], tri[:, 1], tri[:, 2]
-    prod = system.mul_levels(
-        [l[s * N + u] for l in incs], [l[u * N + t] for l in incs]
-    )
+    increment(s,t) over grid triples s < u < t, CHEN_CHUNK triples at a time."""
+    triples = grid_triples(len(path), max_triples)
     worst = 0.0
-    for k in range(system.n + 1):
-        worst = max(worst, float(np.abs(prod[k] - incs[k][s * N + t]).max()))
+    while chunk := list(itertools.islice(triples, CHEN_CHUNK)):
+        s, u, t = np.array(chunk, dtype=np.int64).T
+        prod = path.system.mul_levels(path.increments(s, u), path.increments(u, t))
+        for a, b in zip(prod, path.increments(s, t)):
+            worst = max(worst, float(np.abs(a - b).max()))
     return worst
 
 
@@ -196,6 +188,31 @@ def path_from_increments(system: HopfSystem, times, step_values) -> SampledGroup
 
 # -- p-variation ---------------------------------------------------------------
 
+class _PVarRows:
+    """Exact p-variation DP over a grid, one row per start index, grown on demand.
+
+    ``rows[i][m]`` is the largest sum of |increment|^p over partitions of the
+    window [i, i + m].  ``norms()`` gives the (N, N) increment-norm table; it
+    is read at the first query, and a row is extended only up to the largest
+    end index asked of it.
+    """
+
+    def __init__(self, norms, p: float):
+        self.norms = norms
+        self.p = p
+        self.powers: np.ndarray | None = None
+        self.rows: dict[int, np.ndarray] = {}
+
+    def __call__(self, i: int, j: int) -> float:
+        if self.powers is None:
+            self.powers = self.norms() ** self.p
+        best = self.rows.get(i, np.zeros(1))
+        for t in range(i + len(best), j + 1):
+            best = np.append(best, np.max(best + self.powers[i:t, t]))
+        self.rows[i] = best
+        return float(best[j - i])
+
+
 def p_variation(path: SampledGroupPath, p: float, window=None) -> float:
     """Exact p-variation over sub-partitions of the grid window, by DP."""
     if p < 1:
@@ -203,18 +220,7 @@ def p_variation(path: SampledGroupPath, p: float, window=None) -> float:
     i0, i1 = (0, len(path) - 1) if window is None else window
     if i0 >= i1:
         return 0.0
-    dist = path.increment_norms()
-    return _pvar_dp(dist, p, i0, i1) ** (1.0 / p)
-
-
-def _pvar_dp(dist: np.ndarray, p: float, i0: int, i1: int) -> float:
-    # best[j] = max over partitions of [i0, j] ending at j of sum |inc|^p
-    powers = dist[i0 : i1 + 1, i0 : i1 + 1] ** p
-    m = i1 - i0 + 1
-    best = np.zeros(m)
-    for j in range(1, m):
-        best[j] = np.max(best[:j] + powers[:j, j])
-    return float(best[m - 1])
+    return _PVarRows(path.increment_norms, p)(i0, i1) ** (1.0 / p)
 
 
 def vector_p_variation(xs: np.ndarray, p: float) -> float:
@@ -226,34 +232,40 @@ def vector_p_variation(xs: np.ndarray, p: float) -> float:
     dist = np.zeros((N, N))
     for i in range(N):
         dist[i, i + 1 :] = np.abs(xs[i + 1 :] - xs[i]).sum(axis=1)
-    return _pvar_dp(dist, p, 0, N - 1) ** (1.0 / p)
+    return _PVarRows(lambda: dist, p)(0, N - 1) ** (1.0 / p)
 
 
 @dataclass
 class Control:
-    """Superadditive two-parameter function on grid index pairs."""
+    """Superadditive two-parameter function on grid index pairs.
+
+    ``fn(i, j)`` gives the value on windows i < j; a sum of two controls keeps
+    its operands in ``parts`` and adds their values, left one first.
+    """
 
     times: np.ndarray
-    fn: object  # callable (i, j) -> float
-    label: str = "control"
+    fn: object = None  # callable (i, j) -> float
+    parts: tuple = ()
 
     def __call__(self, i: int, j: int) -> float:
         if j <= i:
             return 0.0
+        if self.parts:
+            return self.parts[0](i, j) + self.parts[1](i, j)
         return float(self.fn(i, j))
 
     def __add__(self, other: "Control") -> "Control":
-        return Control(self.times, lambda i, j: self(i, j) + other(i, j), label=f"{self.label}+{other.label}")
+        return Control(self.times, parts=(self, other))
 
     def superadditivity_residual(self, samples: int = 200, seed: int = 0) -> float:
         """Most negative value of w(s,t) - w(s,u) - w(u,t) over sampled triples."""
         rng = np.random.default_rng(seed)
         N = len(self.times)
+        if N < 3:  # no triples
+            return 0.0
         worst = 0.0
         for _ in range(samples):
             s, u, t = sorted(rng.choice(N, size=3, replace=False))
-            if s == u or u == t:
-                continue
             worst = min(worst, self(s, t) - self(s, u) - self(u, t))
         return worst
 
@@ -261,22 +273,12 @@ class Control:
 def control_from_pvar(path: SampledGroupPath, p: float) -> Control:
     """w(s,t) = |g|_{p-var,[s,t]}^p; superadditive by construction.
 
-    Window values are memoized: certificates and removal schedules query the
-    same windows repeatedly.
+    The DP rows are kept: certificates and removal schedules query the same
+    windows repeatedly.  Building the control computes nothing.
     """
-    dist = path.increment_norms()
-    cache: dict = {}
-
-    def fn(i, j):
-        hit = cache.get((i, j))
-        if hit is None:
-            hit = _pvar_dp(dist, p, i, j)
-            cache[(i, j)] = hit
-        return hit
-
-    return Control(path.times, fn, label=f"pvar^{p}")
+    return Control(path.times, _PVarRows(path.increment_norms, p))
 
 
 def uniform_control(times) -> Control:
     times = np.asarray(times, dtype=float)
-    return Control(times, lambda i, j: times[j] - times[i], label="t-s")
+    return Control(times, lambda i, j: times[j] - times[i])

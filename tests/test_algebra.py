@@ -265,3 +265,17 @@ def test_forest_mul_batched_matches_loop(rng):
         single = s.mul_levels([l[i] for l in a], [l[i] for l in b])
         for k in range(3):
             assert np.allclose(batched[k][i], single[k])
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((6,), (6,)), ((2, 3), (2, 3)), ((), (5,)), ((4, 1), (1, 3))])
+def test_forest_mul_levels_batched_is_exact(shape_a, shape_b, rng):
+    s = tensor_system("butcher", 2, 4)
+    a = [rng.normal(size=shape_a + (s.dim(k),)) for k in range(5)]
+    b = [rng.normal(size=shape_b + (s.dim(k),)) for k in range(5)]
+    batched = s.mul_levels(a, b)
+    lead = np.broadcast_shapes(shape_a, shape_b)
+    for pos in np.ndindex(lead):
+        row_a, row_b = ([np.broadcast_to(l, lead + l.shape[-1:])[pos] for l in x] for x in (a, b))
+        single = s.mul(s.from_levels(row_a), s.from_levels(row_b))  # one 1-D product
+        for k in range(5):
+            assert np.array_equal(batched[k][pos], single.levels[k])

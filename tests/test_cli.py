@@ -7,6 +7,8 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cocycle.cli import main
 
@@ -250,6 +252,35 @@ def test_golden_signature_output(capsys):
     assert out == (golden_dir / "signature_line.json").read_text()
 
 
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+# golden stdout files, pinned byte for byte: a 12-point 2-D walk with a
+# degree-1 form, and an 8-point level-2 Butcher-character path over d = 2
+GOLDEN_RUNS = {
+    "integrate_walk": ["integrate", "--form", "{form2}", "--p", "2", "{walk}"],
+    "certify_walk": ["certify", "--form", "{form2}", "--p", "2", "{walk}"],
+    "pvar_walk": ["pvar", "--p", "2.5", "--depth", "3", "{walk}"],
+    "extend_walk": ["extend", "--to-level", "3", "--p", "2.5", "{walk}"],
+    "extend_walk_omega": ["extend", "--to-level", "3", "--p", "2.5", "--schedule", "omega", "{walk}"],
+    "enhance_walk": ["enhance", "--form", "{form2}", "--p", "2", "{walk}"],
+    "pvar_butcher": ["pvar", "--system", "butcher", "--p", "2.5", "{butcher}"],
+    "extend_butcher": ["extend", "--system", "butcher", "--to-level", "3", "--p", "2.5", "{butcher}"],
+}
+
+
+def golden_argv(name):
+    files = {k: GOLDEN_DIR / f for k, f in
+             (("walk", "walk.csv"), ("form2", "form2.json"), ("butcher", "butcher.json"))}
+    return [a.format(**files) for a in GOLDEN_RUNS[name]]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_command_output(name, capsys):
+    code, out, err = run_cli(golden_argv(name), capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
 def test_system_flag_gates_csv(line_csv, capsys):
     code, _, err = run_cli(
         ["signature", "--system", "butcher", "--depth", "2", line_csv], capsys=capsys
@@ -372,3 +403,77 @@ def test_numeric_failure_exit_4_one_json_document(argv, wiggle_csv, capsys, tmp_
     assert out == ""
     payload = json.loads(err)  # the whole of stderr is one JSON document
     assert payload["exit"] == 4
+
+
+def test_enhance_two_point_path(form_file, capsys, tmp_path):
+    f = tmp_path / "two.csv"
+    f.write_text("t,x1\n0,0\n1,0.5\n")
+    code, out, err = run_cli(["enhance", "--form", form_file, "--p", "2", str(f)], capsys=capsys)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    jsonschema.validate(obj, schema("path"))
+    assert obj["multiplicativity_residual"] == 0.0
+
+
+def test_extend_large_coordinates(capsys, tmp_path):
+    f = tmp_path / "big.csv"
+    f.write_text("t,x1,x2\n0,0,0\n1,100000,-70000\n2,30000,90000\n3,-50000,20000\n")
+    code, out, err = run_cli(
+        ["extend", "--to-level", "4", "--p", "1.5", "--depth", "1", str(f)], capsys=capsys
+    )
+    assert (code, err) == (0, "")
+    jsonschema.validate(json.loads(out), schema("path"))
+
+
+def test_extend_constant_path_null_ratio(capsys, tmp_path):
+    f = tmp_path / "constant.csv"
+    f.write_text("t,x1,x2\n0,1,2\n1,1,2\n2,1,2\n")
+    code, out, err = run_cli(["extend", "--to-level", "3", "--p", "1.5", str(f)], capsys=capsys)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    jsonschema.validate(obj, schema("path"))
+    assert obj["pvar_ratios"] == [None]
+    assert all(v == [{"index": "()", "value": 1.0}] for v in obj["values"])
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_contract_on_hostile_paths(data, tmp_path, capsys):
+    """Any 2-6 point path, at any scale: exit 0, 2, 3 or 4, and JSON on the right stream."""
+    N = data.draw(st.integers(2, 6), "points")
+    d = data.draw(st.sampled_from([1, 2]), "d")
+    shape = data.draw(st.sampled_from(["walk", "zeros", "constant"]), "shape")
+    scale = 10.0 ** data.draw(st.integers(-300, 150), "exponent")
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    if shape == "walk":
+        pts = np.array(data.draw(st.lists(st.lists(unit, min_size=d, max_size=d), min_size=N, max_size=N)))
+    else:
+        pts = np.zeros((N, d)) + (data.draw(unit) if shape == "constant" else 0.0)
+    pts = pts * scale
+    text = "t," + ",".join(f"x{j + 1}" for j in range(d)) + "\n"
+    text += "".join(",".join(repr(float(x)) for x in (t, *row)) + "\n" for t, row in enumerate(pts))
+    depth = data.draw(st.integers(1, 3), "depth")
+    options = ["--depth", str(depth), "--p", repr(data.draw(st.floats(1.0, 3.5), "p")),
+               "--schedule", data.draw(st.sampled_from(["ltr", "omega", "dyadic"]), "schedule")]
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({
+        "d": d, "target_dim": 1, "degree": 1, "gamma": 2.5,
+        "derivatives": [[[0.5] * d], [[[1.0 - j - k for k in range(d)] for j in range(d)]]],
+    }))
+    func = tmp_path / "func.json"
+    func.write_text(json.dumps({"in_dim": 1, "out_dim": 1, "degree": 2, "derivatives": [[0.0], [[1.0]], [[[2.0]]]]}))
+    to_level = str(depth + data.draw(st.integers(0, 2), "raise"))
+    commands = [
+        ["signature"], ["pvar"], ["extend", "--to-level", to_level],
+        ["integrate", "--form", str(form)], ["certify", "--form", str(form)],
+        ["enhance", "--form", str(form)], ["iterate", "--form", str(form), "--form2", str(form)],
+        ["product", "--form", str(form), "--form2", str(form)],
+        ["compose", "--form", str(form), "--f", str(func)],
+    ]
+    for command in commands:
+        code, out, err = run_cli(command + options, stdin_text=text, capsys=capsys)
+        assert code in (0, 2, 3, 4), (command, err)
+        if code == 0:
+            json.loads(out)
+        else:
+            assert out == "" and json.loads(err)["exit"] == code, (command, err)

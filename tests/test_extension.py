@@ -157,6 +157,32 @@ class TestLift:
         with pytest.raises(ValueError, match="grouplike"):
             lift_into_group(a)
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    def test_large_grouplike_lifts_and_perturbed_is_refused(self, scale):
+        s = tensor_system("nilpotent", 2, 2)
+        v = s.zero()
+        v.levels[1][:] = [0.8 * scale, -0.6 * scale]
+        a = s.exp(v)
+        assert lift_into_group(a).system.n == 3
+        a.levels[2][1] += 1e-6 * a.norm()  # breaks the shuffle relation x1 x2 = x12 + x21
+        with pytest.raises(ValueError, match="grouplike"):
+            lift_into_group(a)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+def test_extension_of_large_walks(scale, rng):
+    pts = rng.normal(size=(8, 2)).cumsum(axis=0) * scale
+    g4, _ = extend_to_level(signature_piecewise_linear(pts, 2), 4, p=1.5)
+    truth = signature_piecewise_linear(pts, 4)
+    for got, want in zip(g4.levels, truth.levels):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_constant_path_pvar_ratio_is_none():
+    g = signature_piecewise_linear(np.ones((3, 2)), 2)
+    _, report = extend_to_level(g, 3, p=1.5)
+    assert report.pvar_ratios == [None]
+
 
 def test_forest_path_extension(rng):
     from cocycle.algebra import tensor_system

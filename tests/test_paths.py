@@ -205,3 +205,100 @@ def test_subgrid_detection(rng):
     assert coarse.subgrid_of(fine)
     other = signature_piecewise_linear(pts, 2, times=np.arange(9) + 0.3)
     assert not coarse.subgrid_of(other)
+
+
+def _walk_and_forest_paths(rng, N):
+    word = signature_piecewise_linear(rng.normal(size=(N, 2)).cumsum(axis=0) * 0.4, 3)
+    b3 = tensor_system("butcher", 2, 3)
+    incs = [random_character(b3, rng, scale=0.4) for _ in range(N - 1)]
+    return [word, path_from_increments(b3, np.arange(float(N)), incs)]
+
+
+def test_increment_norms_equal_pairwise_reference(rng):
+    for path in _walk_and_forest_paths(rng, 11):
+        N = len(path)
+        ref = np.zeros((N, N))
+        for i in range(N):
+            for j in range(i + 1, N):
+                ref[i, j] = path.system.homogeneous_norm(path.increment(i, j))
+        assert np.array_equal(path.increment_norms(), ref)
+
+
+def test_chen_residual_equals_per_triple_reference(rng):
+    for path in _walk_and_forest_paths(rng, 9):
+        s = path.system
+        for cap in (None, 20):
+            worst = 0.0
+            for a, b, c in grid_triples(len(path), cap):
+                lhs = s.mul(path.increment(a, b), path.increment(b, c))
+                worst = max(worst, tensor_max_dev(lhs, path.increment(a, c)))
+            assert chen_residual(path, max_triples=cap) == worst
+
+
+def test_chen_residual_memory_is_chunked(rng):
+    import tracemalloc
+
+    path = signature_piecewise_linear(rng.normal(size=(120, 2)).cumsum(axis=0) * 0.1, 2)
+    tracemalloc.start()
+    try:
+        residual = chen_residual(path)  # all C(120, 3) = 280,840 triples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual < 1e-12
+    assert peak < 5e6
+
+
+def _window_dp(dist, p, i0, i1):
+    """Reference: the p-variation DP of one window, from scratch."""
+    powers = dist[i0 : i1 + 1, i0 : i1 + 1] ** p
+    best = np.zeros(i1 - i0 + 1)
+    for j in range(1, i1 - i0 + 1):
+        best[j] = np.max(best[:j] + powers[:j, j])
+    return float(best[-1])
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "random"])
+def test_control_rows_equal_window_dp(order, rng):
+    path = signature_piecewise_linear(rng.normal(size=(14, 2)), 2)
+    N = len(path)
+    windows = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    if order == "descending":
+        windows = windows[::-1]
+    elif order == "random":
+        windows = [windows[k] for k in rng.permutation(len(windows))]
+    for p in (1.0, 2.5):
+        ctrl = control_from_pvar(path, p)
+        dist = path.increment_norms()
+        for i, j in windows:
+            assert ctrl(i, j) == _window_dp(dist, p, i, j)
+        assert p_variation(path, p, window=(2, 9)) == _window_dp(dist, p, 2, 9) ** (1.0 / p)
+
+
+def test_new_control_computes_no_norms(rng, monkeypatch):
+    calls = []
+    original = SampledGroupPath.increment_norms
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(SampledGroupPath, "increment_norms", counted)
+    path = signature_piecewise_linear(rng.normal(size=(6, 2)), 2)
+    ctrl = control_from_pvar(path, 2.0) + uniform_control(path.times)
+    assert calls == []
+    assert ctrl(1, 4) > 0 and len(calls) == 1
+
+
+def test_control_sum_keeps_operand_order(rng):
+    path = signature_piecewise_linear(rng.normal(size=(8, 2)), 2)
+    a, b, c = control_from_pvar(path, 2.0), uniform_control(path.times), control_from_pvar(path, 1.5)
+    left, right = (a + b) + c, a + (b + c)
+    for i, j in [(0, 7), (1, 5), (3, 4)]:
+        assert left(i, j) == (a(i, j) + b(i, j)) + c(i, j)
+        assert right(i, j) == a(i, j) + (b(i, j) + c(i, j))
+
+
+def test_two_point_control_has_no_triples():
+    path = signature_piecewise_linear(np.array([[0.0], [1.0]]), 2)
+    assert control_from_pvar(path, 2.0).superadditivity_residual() == 0.0
