@@ -92,6 +92,11 @@ class GradedTensor:
         return f"GradedTensor({s.kind}, d={s.d}, n={s.n}, norm={self.norm():.3g})"
 
 
+def has_unit_scalar(levels) -> bool:
+    """Whether the degree-0 coefficients are 1, to the tolerance every inverse uses."""
+    return bool(np.allclose(np.asarray(levels[0]), 1.0, atol=1e-9))
+
+
 class HopfSystem:
     """Shared interface of the word and forest systems."""
 
@@ -151,8 +156,7 @@ class HopfSystem:
         return GradedTensor(self, self.mul_levels(a.levels, b.levels))
 
     def inverse_levels(self, levels):
-        s0 = np.asarray(levels[0])
-        if not np.allclose(s0, 1.0, atol=1e-9):
+        if not has_unit_scalar(levels):
             raise ValueError("inverse needs degree-0 coefficient 1")
         # Neumann series (1 + u)^{-1} = sum (-u)^k; exact at k = n since u has
         # lowest degree 1.

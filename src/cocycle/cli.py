@@ -9,6 +9,7 @@ a numeric failure (overflow, invalid or zero-division floating point).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -65,6 +66,7 @@ def _fail(exc: Exception, code: int):
     sys.stderr.write(dumps(payload) + "\n")
 
 
+@functools.cache  # one parser per process: a fresh one per call leaves cyclic garbage behind
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cocycle", description=__doc__)
     sub = parser.add_subparsers(required=True, dest="command")
@@ -213,6 +215,8 @@ def _coupling_from_form(args, form_file: str, base: SampledGroupPath | None = No
         raise InputError("one-form couplings need a word-system (nilpotent) path")
     if base.d != f.in_dim:
         raise InputError(f"path dimension {base.d} != one-form dimension {f.in_dim}")
+    if base.level < math.floor(args.p):
+        raise InputError(f"path level {base.level} is below [p] = {math.floor(args.p)}")
     form = RoughOneForm(f, base, args.p)
     omega = control_from_pvar(base, args.p)
     theta = args.theta if args.theta is not None else form.theta

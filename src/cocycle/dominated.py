@@ -114,12 +114,13 @@ class DominatedPath:
         N = len(self.base)
         worst = 0.0
         for s in range(N - 1):
-            for t in range(s + 1, N):
+            later = np.arange(s + 1, N)
+            ones = self.form.eval_rows(self.base, s, s, self.base.increments(s, later))
+            devs = np.abs((self.trace[later] - self.trace[s]) - ones).sum(axis=-1)
+            for t, dev in zip(later.tolist(), devs.tolist()):
                 w = self.omega(s, t)
                 if w <= 0:
                     continue
-                one = self.form.eval_pair(self.base, s, t)
-                dev = float(np.abs(self.increment(s, t) - one).sum())
                 worst = max(worst, dev / w**self.theta)
         return worst
 
@@ -512,35 +513,35 @@ class ControlledPath:
     def dim(self) -> int:
         return self.trace.shape[1]
 
-    def one_step(self, s: int, t: int) -> np.ndarray:
-        return self.form.eval(s, self.low.values[s], self.low.increment(s, t))
-
     def certificate_norm(self) -> float:
         """The combined bound of the weak-control conditions (finite = pass)."""
         N = len(self.base)
+        low, form = self.low, self.form
         degrees = range(1, int(math.floor(self.p)))
-        own = [
-            {k: self.form.probe_matrix(t, self.low.values[t], k) for k in degrees}
-            for t in range(N)
-        ]
+        times = np.arange(N)
+        own = {k: form.probe_matrix(low, times, times, k) for k in degrees}
         worst_remainder = 0.0
         worst_var = 0.0
         sup_norm = 0.0
         for s in range(N):
-            mats = self.form.matrices(s)
+            mats = form.matrices(s)
             sup_norm = max(sup_norm, max(float(np.abs(M).sum(axis=0).max()) for M in mats.values()))
         for s in range(N - 1):
-            for t in range(s + 1, N):
+            later = times[s + 1 :]
+            ones = form.eval_rows(low, s, s, low.increments(s, later))
+            devs = np.abs((self.trace[later] - self.trace[s]) - ones).sum(axis=-1).tolist()
+            gaps = {
+                k: column_norms(own[k][later] - form.probe_matrix(low, s, later, k)).max(axis=-1).tolist()
+                for k in degrees
+            }
+            for i, t in enumerate(later.tolist()):
                 w = self.omega(s, t)
                 if w <= 0:
                     continue
-                dev = float(np.abs(self.increment(s, t) - self.one_step(s, t)).sum())
-                worst_remainder = max(worst_remainder, dev / w ** (self.theta - 1.0 / self.p))
+                worst_remainder = max(worst_remainder, devs[i] / w ** (self.theta - 1.0 / self.p))
                 for k in degrees:
                     expo = self.theta - (1 + k) / self.p
-                    early = self.form.probe_matrix(s, self.low.values[t], k)
-                    gap = float(column_norms(own[t][k] - early).max())
-                    worst_var = max(worst_var, gap / w**expo)
+                    worst_var = max(worst_var, gaps[k][i] / w**expo)
         return sup_norm + worst_remainder + worst_var
 
     def increment(self, s: int, t: int) -> np.ndarray:

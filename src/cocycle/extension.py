@@ -100,16 +100,16 @@ def extend_one_level(
     upper = tensor_system(path.system.kind, path.d, m + 1)
 
     if lift:
-        def eval_pair(i, j):
-            return lift_into_group(path.increment(i, j))
+        def one_steps(i, j):
+            return [lift_into_group(path.increment(a, b)) for a, b in zip(i.tolist(), j.tolist())]
     else:
         form = LevelRaisingForm(path)
 
-        def eval_pair(i, j):
-            return form.eval_pair(path, i, j)
+        def one_steps(i, j):
+            return form.eval_rows(path, i, i, path.increments(i, j))
 
     prefixes, _total, _removals, _bound = sew_generic(
-        eval_pair, len(path), AlgebraTarget(upper), omega, theta, schedule
+        one_steps, len(path), AlgebraTarget(upper), omega, theta, schedule
     )
     return SampledGroupPath(upper, path.times, prefixes)
 

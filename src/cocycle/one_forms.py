@@ -18,12 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import trees
 from .algebra import ForestSystem, GradedTensor, HopfSystem, WordSystem, tensor_system
-from .paths import Control, SampledGroupPath, grid_triples
+from .paths import CHEN_CHUNK, Control, SampledGroupPath, grid_triples
 from .shuffles import apply_inverse, ordered_shuffles
 
 
@@ -63,6 +64,13 @@ class FlatTarget:
     def sigma_max_norm(self, x) -> float:
         return float(np.abs(x).sum())
 
+    def rows(self, values, shape) -> np.ndarray:
+        return np.array(values, dtype=float).reshape(shape + (self.dim,))
+
+    def sigma_max_norms(self, rows) -> np.ndarray:
+        """``sigma_max_norm`` of each row, each summed over one contiguous row."""
+        return np.abs(rows).sum(axis=-1)
+
     def is_member(self, x, tol=1e-9) -> bool:
         return np.all(np.isfinite(x))
 
@@ -91,6 +99,14 @@ class AlgebraTarget:
 
     def sigma_max_norm(self, x) -> float:
         return self.system.sigma_max_norm(x)
+
+    def rows(self, values, shape) -> np.ndarray:
+        out = np.empty(len(values), dtype=object)
+        out[:] = values
+        return out.reshape(shape)
+
+    def sigma_max_norms(self, rows) -> np.ndarray:
+        return np.array([self.system.sigma_max_norm(x) for x in rows.flat]).reshape(rows.shape)
 
     def is_member(self, x, tol=1e-9) -> bool:
         return abs(x.scalar() - 1.0) <= tol
@@ -224,22 +240,34 @@ class TimeVaryingOneForm:
     def eval(self, s: int, a: GradedTensor, v: GradedTensor):
         raise NotImplementedError
 
+    def eval_rows(self, path: SampledGroupPath, s, a, v):
+        """beta_s(g_a, v) row by row.
+
+        ``s`` and ``a`` index the grid of ``path`` and ``v`` is a list of
+        stacked direction levels; their leading axes broadcast.  Flat targets
+        give an array ``(..., dim)``, algebra targets an object array of
+        values.  This default calls :meth:`eval` once per row.
+        """
+        shape = np.broadcast_shapes(np.shape(s), np.shape(a), v[0].shape[:-1])
+        s, a = np.broadcast_to(s, shape), np.broadcast_to(a, shape)
+        v = [np.broadcast_to(l, shape + l.shape[-1:]) for l in v]
+        values = [
+            self.eval(int(s[i]), path.values[a[i]], GradedTensor(self.domain, [np.array(l[i]) for l in v]))
+            for i in np.ndindex(shape)
+        ]
+        return self.target.rows(values, shape)
+
     def eval_pair(self, path: SampledGroupPath, j: int, k: int):
         """beta_{t_j}(g_{t_j}, g_{t_j, t_k})."""
         return self.eval(j, path.values[j], path.increment(j, k))
 
-    def probe_matrix(self, s: int, a: GradedTensor, k: int) -> np.ndarray:
-        """Matrix of v_k -> beta_s(a, v_k) on the degree-k block (flat targets)."""
-        dim = self.domain.dim(k)
-        cols = []
-        for pos in range(dim):
-            e = self.domain.zero()
-            e.levels[k][pos] = 1.0
-            cols.append(self.eval(s, a, e))
-        return np.stack(cols, axis=-1).reshape(-1, dim)
+    def probe_matrix(self, path: SampledGroupPath, s, a, k: int) -> np.ndarray:
+        """Matrices ``(..., dim, dim_k)`` of v_k -> beta_s(g_a, v_k) on the degree-k block (flat targets)."""
+        rows = self.eval_rows(path, np.expand_dims(s, -1), np.expand_dims(a, -1), basis_rows(self.domain, k))
+        return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
 
     def base_matrix(self, path: SampledGroupPath, s: int, k: int) -> np.ndarray:
-        return self.probe_matrix(s, path.values[s], k)
+        return self.probe_matrix(path, s, s, k)
 
     def linearity_residual(self, s: int, a: GradedTensor, v1, v2, c1=0.7, c2=-1.3) -> float:
         lhs = self.eval(s, a, c1 * v1 + c2 * v2)
@@ -255,9 +283,15 @@ class TimeVaryingOneForm:
         return self.target.norm(self.target.sub(lhs, rhs))
 
 
+def basis_rows(domain: HopfSystem, k: int) -> list:
+    """Stacked levels of the degree-k basis vectors, one row each."""
+    dim = domain.dim(k)
+    return [np.eye(dim) if j == k else np.zeros((dim, domain.dim(j))) for j in range(domain.n + 1)]
+
+
 def column_norms(M: np.ndarray) -> np.ndarray:
-    """ell-1 norm of each column, each summed as ``FlatTarget.norm`` sums a vector."""
-    return np.abs(np.ascontiguousarray(M.T)).sum(axis=1)
+    """ell-1 norm of each column of the last two axes, each summed as ``FlatTarget.norm`` sums a vector."""
+    return np.abs(np.ascontiguousarray(np.swapaxes(M, -1, -2))).sum(axis=-1)
 
 
 def _scale(x, c):
@@ -442,24 +476,38 @@ class RecenteredForm(TimeVaryingOneForm):
     """``beta_s(a, v) = sum_k M_k(s) pi_k(g_s^{-1} a (v - v_0))`` into R^dim.
 
     ``matrices(s)`` returns the per-time maps ``{k: M_k(s)}``, each of shape
-    ``(dim, dim_k)``; they are built once per grid index and kept.
+    ``(dim, dim_k)``; they are built for every grid index on first use and
+    kept stacked, as ``stacked[k]`` of shape ``(N, dim, dim_k)``.
     """
 
     def __init__(self, path: SampledGroupPath, dim: int, matrices):
         super().__init__(path.times, path.system, FlatTarget(dim))
         self.base_path = path
         self._build = matrices
-        self._matrices: dict = {}
+
+    @cached_property
+    def stacked(self) -> dict:
+        mats = [self._build(s) for s in range(len(self.base_path))]
+        return {k: np.stack([m[k] for m in mats]) for k in mats[0]} if mats else {}
 
     def matrices(self, s: int) -> dict:
-        hit = self._matrices.get(s)
-        if hit is None:
-            hit = self._matrices[s] = self._build(s)
-        return hit
+        return {k: M[s] for k, M in self.stacked.items()}
 
     def eval(self, s, a, v):
         c = self.base_path.recenter(s, a, v)
         return apply_matrices(self.matrices(s), c, self.target.dim)
+
+    def eval_rows(self, path, s, a, v):
+        """All rows recentred at once, then read out with one stacked matmul per degree.
+
+        ``np.matmul(M, c[..., None])`` computes each row as ``M @ c`` does in
+        :func:`apply_matrices`; ``c @ M.T`` and ``einsum`` round differently.
+        """
+        c = self.base_path.recenter_rows(s, [l[a] for l in path.levels], v)
+        out = np.zeros(c[0].shape[:-1] + (self.target.dim,))
+        for k, M in self.stacked.items():
+            out = out + np.matmul(M[s], c[k][..., None])[..., 0]
+        return out
 
 
 def apply_matrices(mats: dict, c: GradedTensor, dim: int) -> np.ndarray:
@@ -636,27 +684,28 @@ def slowly_varying_certificate(
 
     Operator norms are exact maxima over the coefficient basis: each time's
     own matrices ``P_t = probe(t, g_t)`` are probed once, and a pair (s, t)
-    only adds the early probe ``probe(s, g_t)``.  Holder quotients run over
-    all grid pairs and degrees 1..n of the domain.
+    only adds the early probe ``probe(s, g_t)``, read for all t > s at once.
+    Holder quotients run over all grid pairs and degrees 1..n of the domain.
     """
     N = len(path)
     n = beta.domain.n
-    own = [[beta.probe_matrix(t, path.values[t], k) for k in range(n + 1)] for t in range(N)]
-    M = 0.0
-    for mats in own:
-        for P in mats:
-            M = max(M, float(column_norms(P).max()))
+    times = np.arange(N)
+    own = [beta.probe_matrix(path, times, times, k) for k in range(n + 1)]
+    M = max(float(column_norms(P).max(initial=0.0)) for P in own)
     quotients = {k: 0.0 for k in range(1, n + 1)}
     worst_pair = None
     for s in range(N - 1):
-        for t in range(s + 1, N):
+        later = times[s + 1 :]
+        devs = {
+            k: column_norms(own[k][later] - beta.probe_matrix(path, s, later, k)).max(axis=-1).tolist()
+            for k in quotients
+        }
+        for i, t in enumerate(later.tolist()):
             w = omega(s, t)
             if w <= 0:
                 continue
             for k in range(1, n + 1):
-                early = beta.probe_matrix(s, path.values[t], k)
-                dev = float(column_norms(own[t][k] - early).max())
-                q = dev / w ** (theta - k / p)
+                q = devs[k][i] / w ** (theta - k / p)
                 if q > quotients[k]:
                     quotients[k] = q
                     if q >= max(quotients.values()):
@@ -686,33 +735,37 @@ def integrable_condition_check(
 ) -> IntegrableReport:
     """Evaluate the one-step bound and the compensated-regularity bound.
 
-    The first bound is the sup over pairs of the one-step values; the second
-    is the sup over triples s < u < t of
-    ``max_sigma |(beta_u - beta_s)(g_u, g_{u,t})| / w(s,t)^theta``.
+    The first bound is the sup over pairs of the one-step values, read one
+    start index at a time; the second is the sup over triples s < u < t of
+    ``max_sigma |(beta_u - beta_s)(g_u, g_{u,t})| / w(s,t)^theta``, read
+    ``CHEN_CHUNK`` triples at a time.
     """
     N = len(path)
     tgt = beta.target
     M = 0.0
     for s in range(N - 1):
-        for t in range(s + 1, N):
-            M = max(M, tgt.sigma_max_norm(beta.eval_pair(path, s, t)))
+        later = np.arange(s + 1, N)
+        one_steps = beta.eval_rows(path, s, s, path.increments(s, later))
+        M = max(M, float(tgt.sigma_max_norms(one_steps).max()))
     ratio, worst = 0.0, None
     frozen = True
-    for s, u, t in grid_triples(N, max_triples):
-        inc = path.increment(u, t)
-        if frozen and any(np.abs(l).max() > 1e-14 for l in inc.levels[1:]):
-            frozen = False
-        late = beta.eval(u, path.values[u], inc)
-        early = beta.eval(s, path.values[u], inc)
-        dev = tgt.sigma_max_norm(tgt.sub(late, early))
-        w = omega(s, t)
-        if w <= 0:
-            if dev > 1e-13:
-                ratio = np.inf
-                worst = (s, u, t)
-            continue
-        q = dev / w**theta
-        if q > ratio:
-            ratio, worst = q, (s, u, t)
+    triples = grid_triples(N, max_triples)
+    while chunk := list(itertools.islice(triples, CHEN_CHUNK)):
+        first, mid, last = np.array(chunk, dtype=np.int64).T
+        inc = path.increments(mid, last)
+        frozen = frozen and not any((np.abs(l).max(axis=-1) > 1e-14).any() for l in inc[1:])
+        late = beta.eval_rows(path, mid, mid, inc)
+        early = beta.eval_rows(path, first, mid, inc)
+        devs = tgt.sigma_max_norms(tgt.sub(late, early)).tolist()
+        for (s, u, t), dev in zip(chunk, devs):
+            w = omega(s, t)
+            if w <= 0:
+                if dev > 1e-13:
+                    ratio = np.inf
+                    worst = (s, u, t)
+                continue
+            q = dev / w**theta
+            if q > ratio:
+                ratio, worst = q, (s, u, t)
     ok = theta > 1.0 and np.isfinite(ratio) and np.isfinite(M)
     return IntegrableReport(M, ratio, theta, worst, ok, frozen)

@@ -72,9 +72,6 @@ class SampledGroupPath:
             [l[i] for l in self.inverse_levels], [l[j] for l in self.levels]
         )
 
-    def inverse_value(self, i: int) -> GradedTensor:
-        return GradedTensor(self.system, [l[i] for l in self.inverse_levels])
-
     def increment(self, i: int, j: int) -> GradedTensor:
         if i == j:
             return self.system.unit()
@@ -82,9 +79,16 @@ class SampledGroupPath:
 
     def recenter(self, s: int, a: GradedTensor, v: GradedTensor) -> GradedTensor:
         """g_s^{-1} a (v - v_0 1): the direction v at a, seen from the base point g_s."""
+        for x in (a, v):
+            self.system.require_same(x.system)
+        return GradedTensor(self.system, self.recenter_rows(s, a.levels, v.levels))
+
+    def recenter_rows(self, s, a, v) -> list:
+        """Stacked levels of g_s^{-1} a (v - v_0 1) for a grid index array ``s``
+        and level lists ``a`` and ``v``, whose leading axes broadcast."""
         system = self.system
-        w = system.mul(a, v - v.scalar() * system.unit())
-        return system.mul(self.inverse_value(s), w)
+        w = system.mul_levels(a, [l - v[0] * u for l, u in zip(v, system.unit().levels)])
+        return system.mul_levels([l[s] for l in self.inverse_levels], w)
 
     def level_one(self, i: int) -> np.ndarray:
         """Degree-one coefficient block of the i-th value."""
@@ -206,11 +210,14 @@ class _PVarRows:
     def __call__(self, i: int, j: int) -> float:
         if self.powers is None:
             self.powers = self.norms() ** self.p
-        best = self.rows.get(i, np.zeros(1))
-        for t in range(i + len(best), j + 1):
-            best = np.append(best, np.max(best + self.powers[i:t, t]))
-        self.rows[i] = best
-        return float(best[j - i])
+        row = self.rows.get(i, np.zeros(1))
+        done = len(row)
+        if done <= j - i:
+            row = np.concatenate([row, np.empty(j - i + 1 - done)])
+            for m in range(done, j - i + 1):
+                row[m] = (row[:m] + self.powers[i : i + m, i + m]).max()
+            self.rows[i] = row
+        return float(row[j - i])
 
 
 def p_variation(path: SampledGroupPath, p: float, window=None) -> float:

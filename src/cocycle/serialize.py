@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from . import trees
-from .algebra import GradedIndex, GradedTensor, tensor_system
+from .algebra import GradedIndex, GradedTensor, has_unit_scalar, tensor_system
 from .one_forms import LipFunction
 from .paths import SampledGroupPath
 
@@ -128,7 +128,12 @@ def path_from_obj(obj: dict) -> SampledGroupPath:
         times = [float(x) for x in obj["times"]]
         if not np.all(np.isfinite(times)):
             raise ValueError("non-finite time")
-        return SampledGroupPath(system, times, values)
+        if not values:
+            raise ValueError("a path needs at least one point")
+        path = SampledGroupPath(system, times, values)
+        if not has_unit_scalar(path.levels):
+            raise ValueError("path values need degree-0 coefficient 1")
+        return path
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad path object: {exc}") from exc
 

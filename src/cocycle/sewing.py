@@ -12,7 +12,9 @@ error bookkeeping), not in the value:
   control at most ``2/(l-1)`` of the total, accumulating the removal bound.
 
 Convergence evidence comes from :func:`refine_and_compare`, which evaluates
-the coarse-partition products against nested refinements.
+the coarse-partition products against nested refinements.  One-step values
+are read in batches through ``eval_rows``: all leaves at once, and all
+windows of one partition or one estimate at once.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class SewingResult:
     total: object
     removal_order: list = field(default_factory=list)
     removal_bound: float = 0.0
-    eval_pair: object = None
+    one_steps: object = None  # (i, j) index arrays -> one-step values of those windows
     certificate: IntegrableReport | None = None
 
     def value(self, i: int, j: int):
@@ -63,12 +65,19 @@ class SewingResult:
             return self.target.unit()
         return self.target.mul(self.target.inverse(self.values[i]), self.values[j])
 
-    def local_estimate(self, i: int, j: int) -> float:
-        """Deviation of the window integral from its one-step approximation."""
-        if self.eval_pair is None:
+    def local_estimates(self, windows) -> list:
+        """Deviation of each window integral from its one-step approximation."""
+        if self.one_steps is None:
             raise ValueError("no one-step evaluator attached")
-        one = self.eval_pair(i, j)
-        return self.target.sigma_max_norm(self.target.sub(self.value(i, j), one))
+        i, j = np.array(windows, dtype=np.int64).reshape(-1, 2).T
+        ones = self.one_steps(i, j)
+        return [
+            self.target.sigma_max_norm(self.target.sub(self.value(a, b), one))
+            for a, b, one in zip(i.tolist(), j.tolist(), ones)
+        ]
+
+    def local_estimate(self, i: int, j: int) -> float:
+        return self.local_estimates([(i, j)])[0]
 
     def dyadic_windows(self, min_len: int = 1):
         N = len(self.times)
@@ -83,20 +92,21 @@ class SewingResult:
 
     def empirical_constant(self, min_len: int = 1) -> float:
         """sup over dyadic windows of deviation / omega^theta."""
+        windows = list(self.dyadic_windows(min_len))
         best = 0.0
-        for i, j in self.dyadic_windows(min_len):
+        for (i, j), dev in zip(windows, self.local_estimates(windows)):
             w = self.omega(i, j)
             if w <= 0:
                 continue
-            best = max(best, self.local_estimate(i, j) / w**self.theta)
+            best = max(best, dev / w**self.theta)
         return best
 
     def local_slope(self, floor: float = 1e-13) -> float:
         """Log-log regression slope of deviation against the control."""
+        windows = list(self.dyadic_windows())
         xs, ys = [], []
-        for i, j in self.dyadic_windows():
+        for (i, j), dev in zip(windows, self.local_estimates(windows)):
             w = self.omega(i, j)
-            dev = self.local_estimate(i, j)
             if w > 0 and dev > floor:
                 xs.append(np.log(w))
                 ys.append(np.log(dev))
@@ -117,13 +127,15 @@ class SewingResult:
 
             return tensor_to_obj(v)
 
+        steps = [(j, j + 1) for j in range(len(self.times) - 1)]
+        errors = self.local_estimates(steps) if self.one_steps else [None] * len(steps)
         intervals = [
             {
                 "window": [float(self.times[j]), float(self.times[j + 1])],
-                "local_error": self.local_estimate(j, j + 1) if self.eval_pair else None,
+                "local_error": err,
                 "omega": self.omega(j, j + 1),
             }
-            for j in range(len(self.times) - 1)
+            for j, err in enumerate(errors)
         ]
         return {
             "schedule": self.schedule,
@@ -144,15 +156,17 @@ def loglog_slope(xs, ys) -> float:
     return float(coef[0])
 
 
-def sew_generic(eval_pair, N: int, target, omega: Control, theta: float, schedule: str):
+def sew_generic(one_steps, N: int, target, omega: Control, theta: float, schedule: str):
     """Ordered product of one-step values; returns (prefixes, total, removals, bound).
 
-    ``eval_pair(i, j)`` must produce the one-step value over window (i, j).
+    ``one_steps(i, j)`` must produce the one-step values over the windows
+    (i, j) of two index arrays; it is called once, for all N - 1 leaves.
     """
     sched = SCHEDULES.get(schedule)
     if sched is None:
         raise ValueError(f"unknown schedule {schedule!r}")
-    leaves = [eval_pair(j, j + 1) for j in range(N - 1)]
+    steps = np.arange(N - 1)
+    leaves = list(one_steps(steps, steps + 1))
     prefixes = [target.unit()]
     for leaf in leaves:
         prefixes.append(target.mul(prefixes[-1], leaf))
@@ -163,7 +177,7 @@ def sew_generic(eval_pair, N: int, target, omega: Control, theta: float, schedul
     elif sched == "dyadic":
         total = _balanced(leaves, target)
     else:
-        total, removals, bound = _omega_guided(leaves, eval_pair, target, omega, theta, N)
+        total, removals, bound = _omega_guided(leaves, target, omega, theta, N)
     return prefixes, total, removals, bound
 
 
@@ -179,7 +193,7 @@ def _balanced(leaves, target):
     return work[0]
 
 
-def _omega_guided(leaves, eval_pair, target, omega, theta, N):
+def _omega_guided(leaves, target, omega, theta, N):
     pts = list(range(N))
     split: dict[tuple[int, int], int] = {}
     removals = []
@@ -236,11 +250,11 @@ def sew(
             "integrable condition failed", detail=certificate
         )
 
-    def eval_pair(i, j):
-        return beta.eval_pair(path, i, j)
+    def one_steps(i, j):
+        return beta.eval_rows(path, i, i, path.increments(i, j))
 
     prefixes, total, removals, bound = sew_generic(
-        eval_pair, len(path), beta.target, omega, theta, schedule
+        one_steps, len(path), beta.target, omega, theta, schedule
     )
     return SewingResult(
         times=path.times,
@@ -252,7 +266,7 @@ def sew(
         total=total,
         removal_order=removals,
         removal_bound=bound,
-        eval_pair=eval_pair,
+        one_steps=one_steps,
         certificate=certificate,
     )
 
@@ -298,7 +312,8 @@ def refine_and_compare(
         chain.append(nxt)
 
     def total_on(indices):
-        vals = [beta.eval_pair(fine, a, b) for a, b in zip(indices, indices[1:])]
+        a, b = np.array(indices[:-1]), np.array(indices[1:])
+        vals = beta.eval_rows(fine, a, a, fine.increments(a, b))
         out = vals[0]
         for v in vals[1:]:
             out = beta.target.mul(out, v)

@@ -255,9 +255,13 @@ def test_golden_signature_output(capsys):
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 # golden stdout files, pinned byte for byte: a 12-point 2-D walk with a
-# degree-1 form, and an 8-point level-2 Butcher-character path over d = 2
+# degree-1 form (and a quadratic function for compose), and an 8-point
+# level-2 Butcher-character path over d = 2
 GOLDEN_RUNS = {
     "integrate_walk": ["integrate", "--form", "{form2}", "--p", "2", "{walk}"],
+    "iterate_walk": ["iterate", "--form", "{form2}", "--form2", "{form2}", "--p", "2", "{walk}"],
+    "product_walk": ["product", "--form", "{form2}", "--form2", "{form2}", "--p", "2", "{walk}"],
+    "compose_walk": ["compose", "--form", "{form2}", "--f", "{func}", "--p", "2", "{walk}"],
     "certify_walk": ["certify", "--form", "{form2}", "--p", "2", "{walk}"],
     "pvar_walk": ["pvar", "--p", "2.5", "--depth", "3", "{walk}"],
     "extend_walk": ["extend", "--to-level", "3", "--p", "2.5", "{walk}"],
@@ -270,7 +274,8 @@ GOLDEN_RUNS = {
 
 def golden_argv(name):
     files = {k: GOLDEN_DIR / f for k, f in
-             (("walk", "walk.csv"), ("form2", "form2.json"), ("butcher", "butcher.json"))}
+             (("walk", "walk.csv"), ("form2", "form2.json"), ("butcher", "butcher.json"),
+              ("func", "func.json"))}
     return [a.format(**files) for a in GOLDEN_RUNS[name]]
 
 
@@ -279,6 +284,20 @@ def test_golden_command_output(name, capsys):
     code, out, err = run_cli(golden_argv(name), capsys=capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+def test_integrate_reads_recentred_forms_in_rows(capsys, monkeypatch):
+    # the certificates and the sewing of integrate go through eval_rows only
+    from cocycle.one_forms import RecenteredForm, TimeVaryingOneForm
+
+    calls = []
+    for cls, name in ((RecenteredForm, "eval"), (TimeVaryingOneForm, "eval_pair")):
+        original = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *args, f=original: calls.append(args[1:]) or f(*args))
+    code, out, err = run_cli(golden_argv("integrate_walk"), capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "integrate_walk.json").read_text()
+    assert calls == []
 
 
 def test_system_flag_gates_csv(line_csv, capsys):
@@ -436,10 +455,41 @@ def test_extend_constant_path_null_ratio(capsys, tmp_path):
     assert all(v == [{"index": "()", "value": 1.0}] for v in obj["values"])
 
 
+def hostile_path_json(data, pts, depth) -> str:
+    """A path JSON: the signature of ``pts`` or a Butcher-character path, maybe tampered with."""
+    from cocycle import serialize
+    from cocycle.algebra import tensor_system
+    from cocycle.paths import path_from_increments, signature_piecewise_linear
+    from conftest import random_character
+
+    N, d = pts.shape
+    if data.draw(st.booleans(), "butcher"):
+        system = tensor_system("butcher", d, depth)
+        rng = np.random.default_rng(data.draw(st.integers(0, 99), "seed"))
+        scale = float(np.abs(pts).max(initial=0.0)) or 1.0
+        steps = [random_character(system, rng, scale) for _ in range(N - 1)]
+        obj = serialize.path_to_obj(path_from_increments(system, np.arange(float(N)), steps))
+    else:
+        obj = serialize.path_to_obj(signature_piecewise_linear(pts, depth))
+    tamper = data.draw(st.sampled_from(["none", "scalar", "coefficient", "empty"]), "tamper")
+    value = obj["values"][data.draw(st.integers(0, N - 1), "tampered point")]
+    if tamper == "scalar":  # a degree-0 coefficient other than 1, or none at all
+        value[0]["value"] = data.draw(st.sampled_from([0.0, -1.0, 2.0, 1.0 + 1e-3]), "scalar")
+        if value[0]["value"] == 0.0:
+            del value[0]
+    elif tamper == "coefficient":  # a value off the group, unit scalar kept
+        value.append({"index": value[-1]["index"], "value": data.draw(st.floats(-1e3, 1e3), "coefficient")})
+        if value[-1]["index"] == "()":
+            del value[-1]
+    elif tamper == "empty":
+        obj["times"], obj["values"] = [], []
+    return json.dumps(obj)  # overflowed values go in as Infinity or NaN
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_contract_on_hostile_paths(data, tmp_path, capsys):
-    """Any 2-6 point path, at any scale: exit 0, 2, 3 or 4, and JSON on the right stream."""
+    """Any 2-6 point path, CSV or JSON, at any scale: exit 0, 2, 3 or 4, and JSON on the right stream."""
     N = data.draw(st.integers(2, 6), "points")
     d = data.draw(st.sampled_from([1, 2]), "d")
     shape = data.draw(st.sampled_from(["walk", "zeros", "constant"]), "shape")
@@ -450,9 +500,13 @@ def test_cli_contract_on_hostile_paths(data, tmp_path, capsys):
     else:
         pts = np.zeros((N, d)) + (data.draw(unit) if shape == "constant" else 0.0)
     pts = pts * scale
-    text = "t," + ",".join(f"x{j + 1}" for j in range(d)) + "\n"
-    text += "".join(",".join(repr(float(x)) for x in (t, *row)) + "\n" for t, row in enumerate(pts))
     depth = data.draw(st.integers(1, 3), "depth")
+    if data.draw(st.booleans(), "json"):
+        with np.errstate(over="ignore", invalid="ignore"):  # the CLI refuses what overflows
+            text = hostile_path_json(data, pts, depth)
+    else:
+        text = "t," + ",".join(f"x{j + 1}" for j in range(d)) + "\n"
+        text += "".join(",".join(repr(float(x)) for x in (t, *row)) + "\n" for t, row in enumerate(pts))
     options = ["--depth", str(depth), "--p", repr(data.draw(st.floats(1.0, 3.5), "p")),
                "--schedule", data.draw(st.sampled_from(["ltr", "omega", "dyadic"]), "schedule")]
     form = tmp_path / "form.json"

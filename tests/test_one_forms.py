@@ -435,34 +435,111 @@ def loop_certificate(form, g, om, theta, p):
 
 
 def test_certificate_probes_each_own_matrix_once(monkeypatch):
-    # beta_t(g_t, e) does not depend on the pair: one probe per (t, basis vector)
+    # beta_t(g_t, e) does not depend on the pair: one probe row per (t, basis vector)
     pts = np.random.default_rng(5).normal(size=(8, 2)).cumsum(axis=0) * 0.3
     g = signature_piecewise_linear(pts, 2)
     form = RoughOneForm(linear_one_form(d=2, m=2), g, p=2.0)
     om = control_from_pvar(g, 2.0)
     want = loop_certificate(form, g, om, form.theta, 2.0)
-    calls = []
-    evaluate = form.eval
+    rows = []
+    evaluate = form.eval_rows
 
-    def counting_eval(s, a, v):
-        calls.append((s, a, v))
-        return evaluate(s, a, v)
+    def counting_eval_rows(path, s, a, v):
+        shape = np.broadcast_shapes(np.shape(s), np.shape(a), v[0].shape[:-1])
+        bs, ba = np.broadcast_to(s, shape), np.broadcast_to(a, shape)
+        for i in np.ndindex(shape):
+            rows.append((int(bs[i]), int(ba[i]), [np.broadcast_to(l, shape + l.shape[-1:])[i] for l in v]))
+        return evaluate(path, s, a, v)
 
-    monkeypatch.setattr(form, "eval", counting_eval)
+    monkeypatch.setattr(form, "eval_rows", counting_eval_rows)
     report = slowly_varying_certificate(form, g, om, form.theta, 2.0)
     assert (report.M, report.quotients) == want
     own = [
-        (s, k, int(np.flatnonzero(v.levels[k])[0]))
-        for s, a, v in calls
-        if a is g.values[s]
-        for k in range(len(v.levels))
-        if v.levels[k].any()
+        (s, k, int(np.flatnonzero(v[k])[0]))
+        for s, a, v in rows
+        if a == s
+        for k in range(len(v))
+        if v[k].any()
     ]
     basis = sum(g.system.dim(k) for k in range(g.level + 1))
     assert len(own) == len(set(own)) == len(g) * basis
     # the rest are the early probes: one per pair and basis vector of degree >= 1
     pairs = len(g) * (len(g) - 1) // 2
-    assert len(calls) - len(own) == pairs * (basis - 1)
+    assert len(rows) - len(own) == pairs * (basis - 1)
+
+
+def _recentred_forms():
+    """A word, a forest and a time-varying rough form over 7-point paths."""
+    from cocycle.paths import path_from_increments
+    from conftest import random_character
+
+    rng = np.random.default_rng(11)
+    word = signature_piecewise_linear(rng.normal(size=(7, 2)).cumsum(axis=0) * 0.4, 3)
+    quad = LipFunction.from_polynomial(
+        [rng.normal(size=(2, 2)), rng.normal(size=(2, 2, 2)),
+         np.broadcast_to(rng.normal(size=(2, 1, 1, 1)), (2, 2, 2, 2)).copy()],
+        gamma=3.0,
+    )
+    b = tensor_system("butcher", 2, 3)
+    forest = path_from_increments(b, np.arange(7.0), [random_character(b, rng, 0.4) for _ in range(6)])
+    om = control_from_pvar(word, 2.5)
+    fs = [
+        LipFunction.from_polynomial([np.cos(t) * quad.deriv(0, np.zeros(2)), quad.deriv(1, np.zeros(2))])
+        for t in range(len(word))
+    ]
+    return {
+        "rough": (RoughOneForm(quad, word, p=3.2), word),
+        "branched": (BranchedRoughOneForm(quad, forest, p=3.2), forest),
+        "time-varying": (TimeVaryingRoughOneForm(fs, word, 2.5, om, theta=1.5), word),
+    }
+
+
+@pytest.mark.parametrize("name", ["rough", "branched", "time-varying"])
+def test_eval_rows_equal_per_pair_eval(name):
+    from cocycle.one_forms import basis_rows
+    from cocycle.paths import grid_triples
+
+    form, g = _recentred_forms()[name]
+    N, dom = len(g), g.system
+
+    def same(rows, values):
+        rows = np.asarray(rows)
+        assert rows.tobytes() == np.array(values).reshape(rows.shape).tobytes()
+
+    for s in range(N - 1):  # one start index against every later end
+        later = np.arange(s + 1, N)
+        same(form.eval_rows(g, s, s, g.increments(s, later)),
+             [form.eval_pair(g, s, t) for t in later])
+    s, u, t = np.array(list(grid_triples(N))).T  # per-row times and base points
+    inc = g.increments(u, t)
+    for base in (u, s):
+        same(form.eval_rows(g, base, u, inc),
+             [form.eval(i, g.values[j], g.increment(j, k)) for i, j, k in zip(base, u, t)])
+    for k in range(dom.n + 1):  # basis probes, own and early, as stacked matrices
+        e = [dom.from_levels([l[pos] for l in basis_rows(dom, k)]) for pos in range(dom.dim(k))]
+        times = np.arange(N)
+        same(form.probe_matrix(g, times, times, k),
+             [np.stack([form.eval(i, g.values[i], v) for v in e], axis=-1) for i in times])
+        same(form.probe_matrix(g, 0, times, k),
+             [np.stack([form.eval(0, g.values[j], v) for v in e], axis=-1) for j in times])
+
+
+def test_uncapped_integrable_triples_are_chunked():
+    import tracemalloc
+
+    pts = np.random.default_rng(2).normal(size=(60, 2)).cumsum(axis=0) * 0.1
+    g = signature_piecewise_linear(pts, 2)
+    form = RoughOneForm(linear_one_form(d=2, m=2), g, p=2.0)
+    om = control_from_pvar(g, 2.0)
+    om(0, len(g) - 1)  # the increment norms and DP rows are not the triples' memory
+    tracemalloc.start()
+    try:
+        report = integrable_condition_check(form, g, om, form.theta, max_triples=None)  # C(60, 3) triples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.worst_triple is not None
+    assert peak < 5e6  # 2.4 MB in chunks; 16 MB with all 34,220 triples in one batch
 
 
 def test_mixed_smoothness_form(rng):
