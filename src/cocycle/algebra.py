@@ -248,11 +248,12 @@ class HopfSystem:
         return self.grouplike_residual(a) <= tol
 
     # -- joint projections (the linear maps behind sigma_1 * ... * sigma_k) --
-    def block_tuple_tensor(self, degrees: tuple[int, ...], a: GradedTensor) -> np.ndarray:
+    def block_tuple_tensor(self, degrees: tuple[int, ...], a) -> np.ndarray:
         """Linear image equal to sigma_1(a) x ... x sigma_k(a) on grouplikes.
 
         Returns an array of shape ``(dim(k_1), ..., dim(k_l))`` read from the
-        degree-``sum(degrees)`` block of ``a``.
+        degree-``sum(degrees)`` block of ``a``.  ``a`` is a tensor or a level
+        list; leading axes of the levels batch.
         """
         raise NotImplementedError
 
@@ -321,15 +322,16 @@ class WordSystem(HopfSystem):
                 worst = max(worst, float(np.abs(joint - direct).max()))
         return worst
 
-    def block_tuple_tensor(self, degrees, a: GradedTensor) -> np.ndarray:
+    def block_tuple_tensor(self, degrees, a) -> np.ndarray:
         total = sum(degrees)
         if total > self.n:
             raise ValueError("degree overflow in joint projection")
-        block = a.levels[total]
-        acc = np.zeros(self.d**total)
+        block = getattr(a, "levels", a)[total]
+        lead = block.shape[:-1]
+        acc = np.zeros(lead + (self.d**total,))
         for perm in shuffles(tuple(degrees)):
             acc = acc + apply_inverse(block, perm, self.d)
-        return acc.reshape(tuple(self.d**k for k in degrees))
+        return acc.reshape(lead + tuple(self.d**k for k in degrees))
 
 
 class ForestSystem(HopfSystem):
@@ -434,7 +436,7 @@ class ForestSystem(HopfSystem):
                         worst = max(worst, abs(lhs - rhs))
         return worst
 
-    def block_tuple_tensor(self, degrees, a: GradedTensor) -> np.ndarray:
+    def block_tuple_tensor(self, degrees, a) -> np.ndarray:
         total = sum(degrees)
         if total > self.n:
             raise ValueError("degree overflow in joint projection")
@@ -449,7 +451,7 @@ class ForestSystem(HopfSystem):
                     merged = trees.forest_concat(merged, self._forests[k][pos[axis]])
                 gather[pos] = self._pos[total][merged]
             self._merge[key] = gather
-        return a.levels[total][gather]
+        return getattr(a, "levels", a)[total][..., gather]
 
 
 @lru_cache(maxsize=None)

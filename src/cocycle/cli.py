@@ -265,6 +265,8 @@ def cmd_product(args) -> dict:
 def cmd_compose(args) -> dict:
     d = _coupling_from_form(args, args.form)
     f = serialize.function_from_obj(_read_json(args.func, "function"))
+    if f.in_dim != d.dim:
+        raise InputError(f"function dimension {f.in_dim} != coupling dimension {d.dim}")
     return _trace_payload(compose_op(d, f, schedule=args.schedule))
 
 

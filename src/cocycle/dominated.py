@@ -3,7 +3,10 @@
 A dominated path couples a flat-space path to a group path through a
 slowly-varying cocyclic one-form: the trace is the sewn integral of the form.
 The calculus below realises each stability operation as an explicit one-form
-construction followed by sewing:
+construction followed by sewing.  Each new form is a recentred form whose
+readout is linear in the recentred direction ``c = g_s^{-1} a (v - v_0)`` and
+reads the old forms' per-time data (stacked base matrices, trace values,
+Taylor derivatives) at the rows' grid times, all rows at once:
 
 * :func:`iterated_integral` -- the running integral of one dominated path
   against another (needs the two-factor integral map);
@@ -19,6 +22,7 @@ construction followed by sewing:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,16 +31,14 @@ import numpy as np
 from . import trees
 from .algebra import ForestSystem, GradedTensor, HopfSystem, tensor_system
 from .maps import (
-    ProductTensor,
     _degree_tuples,
     _double_block_matrices,
-    double_integral,
-    level_one_integral,
+    double_split_blocks,
+    level_one_split_blocks,
 )
 from .one_forms import (
     AlgebraTarget,
     BranchedRoughOneForm,
-    CallableForm,
     CertificateError,
     FlatTarget,
     FormSum,
@@ -45,11 +47,11 @@ from .one_forms import (
     RoughOneForm,
     SlowVaryingReport,
     TimeVaryingOneForm,
-    apply_matrices,
     column_norms,
+    read_matrices,
     slowly_varying_certificate,
 )
-from .paths import Control, SampledGroupPath, control_from_pvar, grid_triples, vector_p_variation
+from .paths import CHEN_CHUNK, Control, SampledGroupPath, control_from_pvar, grid_triples, vector_p_variation
 from .sewing import SewingResult, sew
 
 
@@ -94,13 +96,17 @@ class DominatedPath:
     def increment(self, s: int, t: int) -> np.ndarray:
         return self.trace[t] - self.trace[s]
 
-    def base_matrices(self, s: int, degrees) -> dict:
-        """``{k: matrix of v_k -> beta_s(g_s, v_k)}``, kept per (s, k): the base never changes."""
+    def base_matrices(self, degrees) -> dict:
+        """``{k: (N, dim, dim_k)}``: the matrices of v_k -> beta_s(g_s, v_k) for every grid time.
+
+        One probe per degree, kept: the base never changes.
+        """
         out = {}
         for k in degrees:
-            M = self._matrices.get((s, k))
+            M = self._matrices.get(k)
             if M is None:
-                M = self._matrices[(s, k)] = self.form.base_matrix(self.base, s, k)
+                times = np.arange(len(self.base))
+                M = self._matrices[k] = self.form.probe_matrix(self.base, times, times, k)
             out[k] = M
         return out
 
@@ -141,41 +147,63 @@ class DominatedPath:
         )
 
     def __rmul__(self, c: float) -> "DominatedPath":
-        scaled = CallableForm(
-            self.form.times, self.form.domain, self.form.target,
-            lambda s, a, v: c * self.form.eval(s, a, v),
-        )
+        form = self.form
+        if not isinstance(form, RecenteredForm):
+            raise ValueError("scaling needs a recentred form")
+        scaled = RecenteredForm(form.base_path, form.target, readout=lambda s, x: c * form.readout(s, x))
         return DominatedPath(
             self.base, scaled, c * self.h0, c * self.trace, self.omega, self.theta, self.p
         )
 
 
 def coordinate_coupling(base: SampledGroupPath, omega: Control, theta: float, p: float) -> DominatedPath:
-    """The degree-one trace of the base path, as a dominated path."""
-    dom = base.system
-    target = FlatTarget(dom.dim(1))
-
-    def fn(s, a, v):
-        w = dom.mul(a, v - v.scalar() * dom.unit())
-        return np.array(w.levels[1])
-
-    form = CallableForm(base.times, dom, target, fn, base_path=base)
+    """The degree-one trace of the base path, as a dominated path: M_1 = identity."""
+    dim = base.system.dim(1)
+    form = RecenteredForm(base, dim, lambda s: {1: np.eye(dim)})
     trace = base.levels[1].copy()
     res = sew(form, base, omega, theta, check=False)
     return DominatedPath(base, form, trace[0], trace, omega, theta, p, result=res)
 
 
-def _pair_kernel(split: ProductTensor, mats1: dict, mats2: dict) -> np.ndarray:
-    """Contract a two-factor split with per-degree form matrices."""
-    m1 = next(iter(mats1.values())).shape[0]
-    m2 = next(iter(mats2.values())).shape[0]
-    out = np.zeros((m1, m2))
-    for (j1, j2), arr in split.blocks.items():
-        M1, M2 = mats1.get(j1), mats2.get(j2)
-        if M1 is None or M2 is None:
-            continue
-        out += M1 @ arr @ M2.T
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.outer`` of the last axes, row by row."""
+    return x[..., :, None] * y[..., None, :]
+
+
+def _split(blocks_of, system: HopfSystem, c) -> list:
+    """The blocks ``((j1, j2), (..., dim_j1, dim_j2))`` of a blockwise two-factor map
+    (``double_split_blocks`` or ``level_one_split_blocks``) on stacked levels."""
+    return [item for k in range(2, system.n + 1) for item in blocks_of(system, k, c[k]).items()]
+
+
+def _pair_kernel(blocks, mats1: dict, mats2: dict, s, shape: tuple) -> np.ndarray:
+    """Contract two-factor split blocks with stacked per-time form matrices, row by row.
+
+    Each row is ``sum M1[s] @ block @ M2[s].T`` over the blocks whose degrees
+    both forms have; ``shape`` is the leading shape of the rows.
+    """
+    m1 = next(iter(mats1.values())).shape[-2]
+    m2 = next(iter(mats2.values())).shape[-2]
+    out = np.zeros(shape + (m1, m2))
+    for (j1, j2), arr in blocks:
+        if j1 in mats1 and j2 in mats2:
+            out = out + np.matmul(np.matmul(mats1[j1][s], arr), np.swapaxes(mats2[j2][s], -1, -2))
     return out
+
+
+def _iterated_readout(system: HopfSystem, trace1: np.ndarray, mats1: dict, mats2: dict):
+    """Increment kernel of a running integral: the first trace's increment from time 0
+    tensored with the second form, plus both forms contracted against the two-factor
+    split of the recentred direction."""
+    dim2 = next(iter(mats2.values())).shape[-2]
+
+    def readout(s, c):
+        shape = c[0].shape[:-1]
+        lead = _outer(trace1[s] - trace1[0], read_matrices(mats2, s, c, dim2))
+        kern = _pair_kernel(_split(double_split_blocks, system, c), mats1, mats2, s, shape)
+        return (lead + kern).reshape(shape + (-1,))
+
+    return readout
 
 
 def iterated_integral(
@@ -191,17 +219,8 @@ def iterated_integral(
         raise ValueError("iterated integration needs a shared base path")
     base = d1.base
     degrees = range(1, base.system.n + 1)
-    mats1 = [d1.base_matrices(s, degrees) for s in range(len(base))]
-    mats2 = [d2.base_matrices(s, degrees) for s in range(len(base))]
-    target = FlatTarget(d1.dim * d2.dim)
-
-    def fn(s, a, v):
-        c = base.recenter(s, a, v)
-        lead = np.outer(d1.increment(0, s), apply_matrices(mats2[s], c, d2.dim))
-        split = double_integral(c)
-        return (lead + _pair_kernel(split, mats1[s], mats2[s])).reshape(-1)
-
-    form = CallableForm(base.times, base.system, target, fn, base_path=base)
+    readout = _iterated_readout(base.system, d1.trace, d1.base_matrices(degrees), d2.base_matrices(degrees))
+    form = RecenteredForm(base, d1.dim * d2.dim, readout=readout)
     omega = d1.omega + d2.omega + control_from_pvar(base, d1.p)
     theta = min(d1.theta, d2.theta)
     return DominatedPath.from_form(base, form, omega, theta, d1.p, schedule=schedule, check=check)
@@ -220,38 +239,23 @@ def product(
     base = d1.base
     hp = base.system.n
     degrees = range(1, hp + 1)
-    mats1 = [d1.base_matrices(s, degrees) for s in range(len(base))]
-    mats2 = [d2.base_matrices(s, degrees) for s in range(len(base))]
-    target = FlatTarget(d1.dim * d2.dim)
+    mats1, mats2 = d1.base_matrices(degrees), d2.base_matrices(degrees)
+    dim = d1.dim * d2.dim
 
     # the three summands, each read off the recentred direction c
     def eta1(s, c):
-        return np.outer(apply_matrices(mats1[s], c, d1.dim), d2.trace[s]).reshape(-1)
+        return _outer(read_matrices(mats1, s, c, d1.dim), d2.trace[s]).reshape(c[0].shape[:-1] + (dim,))
 
     def eta2(s, c):
-        return np.outer(d1.trace[s], apply_matrices(mats2[s], c, d2.dim)).reshape(-1)
+        return _outer(d1.trace[s], read_matrices(mats2, s, c, d2.dim)).reshape(c[0].shape[:-1] + (dim,))
 
     def eta3(s, c):
-        out = np.zeros((d1.dim, d2.dim))
-        for k1 in range(1, hp):
-            for k2 in range(1, hp - k1 + 1):
-                arr = base.system.block_tuple_tensor((k1, k2), c)
-                out += mats1[s][k1] @ arr @ mats2[s][k2].T
-        return out.reshape(-1)
+        shape = c[0].shape[:-1]
+        joint = [(ks, base.system.block_tuple_tensor(ks, c)) for ks in _degree_tuples(2, hp)]
+        return _pair_kernel(joint, mats1, mats2, s, shape).reshape(shape + (dim,))
 
-    summands = tuple(
-        CallableForm(
-            base.times, base.system, target,
-            lambda s, a, v, f=f: f(s, base.recenter(s, a, v)), base_path=base,
-        )
-        for f in (eta1, eta2, eta3)
-    )
-
-    def fn(s, a, v):
-        c = base.recenter(s, a, v)
-        return eta1(s, c) + eta2(s, c) + eta3(s, c)
-
-    form = CallableForm(base.times, base.system, target, fn, summands=summands, base_path=base)
+    form = RecenteredForm(base, dim, readout=lambda s, c: eta1(s, c) + eta2(s, c) + eta3(s, c))
+    form.summands = tuple(RecenteredForm(base, dim, readout=eta) for eta in (eta1, eta2, eta3))
     omega = d1.omega + d2.omega + control_from_pvar(base, d1.p)
     theta = min(d1.theta, d2.theta)
     out = DominatedPath.from_form(
@@ -260,6 +264,18 @@ def product(
         schedule=schedule, check=check,
     )
     return out
+
+
+def _apply_factor(M: np.ndarray, cur: np.ndarray, i: int, nl: int) -> np.ndarray:
+    """``np.moveaxis(np.tensordot(M, cur, axes=([1], [i])), 0, i)`` row by row.
+
+    ``nl`` leading axes of ``M`` and ``cur`` batch; the contraction is the
+    matrix product ``tensordot`` makes, axis i of the row moved first.
+    """
+    moved = np.moveaxis(cur, nl + i, nl)
+    rest = moved.shape[nl + 1 :]
+    out = np.matmul(M, moved.reshape(moved.shape[: nl + 1] + (-1,)))
+    return np.moveaxis(out.reshape(out.shape[: nl + 1] + rest), nl, nl + i)
 
 
 def compose(
@@ -278,37 +294,36 @@ def compose(
         raise ValueError("function domain does not match the path dimension")
     base = d.base
     hp = base.system.n
-    degrees = range(1, hp + 1)
-    mats = [d.base_matrices(s, degrees) for s in range(len(base))]
+    mats = d.base_matrices(range(1, hp + 1))
     wdim = int(np.prod(f.out_shape))
-    target = FlatTarget(wdim)
     radius = float(np.abs(d.trace).max())
     scale = f.lip_bound(radius) if f.lip_bound_fn is not None else 1.0
     if scale <= 0:
         scale = 1.0
 
     tuples_by_l = {l: list(_degree_tuples(l, hp)) for l in range(1, hp + 1)}
+    # the derivatives at the running trace value, once per time
+    derivs = {
+        l: np.stack([f.deriv(l, X).reshape(wdim, -1) / scale for X in d.trace])  # (N, w, u^l)
+        for l in range(1, hp + 1)
+    }
 
-    def fn(s, a, v):
-        c = base.recenter(s, a, v)
-        X = d.trace[s]
-        out = np.zeros(wdim)
+    def readout(s, c):
+        shape = c[0].shape[:-1]
+        nl = len(shape)
+        out = np.zeros(shape + (wdim,))
         for l in range(1, hp + 1):
-            D = f.deriv(l, X).reshape(wdim, -1) / scale  # (w, u^l)
             block = None
             for ks in tuples_by_l[l]:
-                arr = base.system.block_tuple_tensor(tuple(ks), c)
-                cur = arr
+                cur = base.system.block_tuple_tensor(ks, c)
                 for i, k in enumerate(ks):
-                    cur = np.tensordot(mats[s][k], cur, axes=([1], [i]))
-                    cur = np.moveaxis(cur, 0, i)
+                    cur = _apply_factor(mats[k][s], cur, i, nl)
                 block = cur if block is None else block + cur
-            if block is None:
-                continue
-            out = out + (D @ block.reshape(-1)) / math.factorial(l)
+            flat = block.reshape(shape + (-1,))
+            out = out + np.matmul(derivs[l][s], flat[..., None])[..., 0] / math.factorial(l)
         return scale * out
 
-    form = CallableForm(base.times, base.system, target, fn, base_path=base)
+    form = RecenteredForm(base, wdim, readout=readout)
     omega = d.omega + control_from_pvar(base, d.p)
     theta_hat = min(d.theta, f.gamma / d.p, (hp + 1) / d.p)
     out = DominatedPath.from_form(
@@ -330,7 +345,7 @@ class GroupEnhancement:
     system: HopfSystem  # word system over dim(U) at level [p]
     values: list  # GradedTensor per grid time
     result: SewingResult
-    level_matrices: list  # per s: {level: {degree: matrix}}
+    level_matrices: dict  # {level: {degree: (N, dim_level, dim_k)}}, stacked over the grid
 
     def as_sampled_path(self) -> SampledGroupPath:
         return SampledGroupPath(self.system, self.source.base.times, self.values)
@@ -339,24 +354,28 @@ class GroupEnhancement:
         return self.system.mul(self.system.inverse(self.values[s]), self.values[t])
 
     def multiplicativity_residual(self, samples: int = 64, seed: int = 0) -> float:
+        """Largest coefficient of pair(s,u) pair(u,t) - pair(s,t) over sampled triples, read at once."""
         rng = np.random.default_rng(seed)
         N = len(self.values)
         if N < 3:  # no triples
             return 0.0
-        worst = 0.0
-        for _ in range(samples):
-            s, u, t = sorted(rng.choice(N, size=3, replace=False))
-            lhs = self.system.mul(self.pair_value(s, u), self.pair_value(u, t))
-            rhs = self.pair_value(s, t)
-            worst = max(worst, max(float(np.abs(a - b).max()) for a, b in zip(lhs.levels, rhs.levels)))
-        return worst
+        s, u, t = np.array([sorted(rng.choice(N, size=3, replace=False)) for _ in range(samples)]).T
+        path = self.as_sampled_path()
+        lhs = self.system.mul_levels(path.increments(s, u), path.increments(u, t))
+        return max([0.0] + [float(np.abs(a - b).max()) for a, b in zip(lhs, path.increments(s, t))])
 
     def window_matrices(self, s: int, t: int) -> dict:
         """B_{s,t}: the ladder one-form of the window, by the level recursion."""
         return _ladder(
-            self.source.base.system, dict(self.level_matrices[t][1]), self.system.n,
-            self.pair_value(s, t),
+            self.source.base.system, {k: M[t] for k, M in self.level_matrices[1].items()},
+            self.system.n, self.pair_value(s, t),
         )
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the last two axes; leading axes broadcast."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def _ladder(system: HopfSystem, B: dict, hp: int, x: GradedTensor | None = None) -> dict:
@@ -364,7 +383,8 @@ def _ladder(system: HopfSystem, B: dict, hp: int, x: GradedTensor | None = None)
 
     Level 1 is ``B``; level l pairs level l-1 with ``B`` through the
     two-factor split.  A window increment ``x`` adds the ``x_{l-1} (x) B``
-    term of the window recursion.
+    term of the window recursion.  Leading axes of the matrices in ``B``
+    (one per grid time) carry through.
     """
     dbl = {k: _double_block_matrices(system, k) for k in range(2, system.n + 1)}
     levels = {1: B}
@@ -373,7 +393,7 @@ def _ladder(system: HopfSystem, B: dict, hp: int, x: GradedTensor | None = None)
         for k in range(1, system.n + 1):
             acc = None
             if x is not None and B.get(k) is not None:
-                acc = np.kron(x.levels[lvl - 1].reshape(-1, 1), B[k])
+                acc = _kron(x.levels[lvl - 1].reshape(-1, 1), B[k])
             for (j1, j2), M in dbl.get(k, {}).items():
                 prev = levels[lvl - 1].get(j1)
                 low = B.get(j2)
@@ -381,7 +401,7 @@ def _ladder(system: HopfSystem, B: dict, hp: int, x: GradedTensor | None = None)
                     continue
                 # kron(prev, low) expects the (j1, j2) split flattened
                 # row-major, which is how the split matrices are built
-                term = np.kron(prev, low) @ M
+                term = np.matmul(_kron(prev, low), M)
                 acc = term if acc is None else acc + term
             if acc is not None:
                 cur[k] = acc
@@ -389,12 +409,23 @@ def _ladder(system: HopfSystem, B: dict, hp: int, x: GradedTensor | None = None)
     return levels
 
 
-def _apply_ladder(out: GradedTensor, ladder: dict, c: GradedTensor) -> GradedTensor:
-    """Add ``sum_k M_{l,k} pi_k(c)`` into level l of ``out`` for each ladder level l."""
+def _apply_ladder(levels: list, ladder: dict, s, c) -> list:
+    """Add ``sum_k M_{l,k}(s) pi_k(c)`` into level l of the stacked ``levels`` for each ladder level l."""
+    out = list(levels)
     for lvl, per_deg in ladder.items():
         for k, M in per_deg.items():
-            out.levels[lvl][:] += M @ c.levels[k]
+            out[lvl] = out[lvl] + np.matmul(M[s], c[k][..., None])[..., 0]
     return out
+
+
+def _ladder_readout(system: HopfSystem, ladder: dict):
+    """Level list of the ladder applied to the recentred direction, from zero."""
+
+    def readout(s, c):
+        shape = c[0].shape[:-1]
+        return _apply_ladder([np.zeros(shape + (system.dim(k),)) for k in range(system.n + 1)], ladder, s, c)
+
+    return readout
 
 
 def enhance(d: DominatedPath, schedule: str = "ltr") -> GroupEnhancement:
@@ -402,16 +433,8 @@ def enhance(d: DominatedPath, schedule: str = "ltr") -> GroupEnhancement:
     base = d.base
     hp = base.system.n
     enh_system = tensor_system("nilpotent", d.dim, hp)
-    degrees = range(1, hp + 1)
-    level_matrices = [
-        _ladder(base.system, d.base_matrices(s, degrees), hp) for s in range(len(base))
-    ]
-
-    def fn(s, a, v):
-        c = base.recenter(s, a, v)
-        return _apply_ladder(v.scalar() * enh_system.unit(), level_matrices[s], c)
-
-    form = CallableForm(base.times, base.system, AlgebraTarget(enh_system), fn, base_path=base)
+    level_matrices = _ladder(base.system, d.base_matrices(range(1, hp + 1)), hp)
+    form = RecenteredForm(base, AlgebraTarget(enh_system), readout=_ladder_readout(enh_system, level_matrices))
     res = sew(form, base, d.omega, d.theta, schedule=schedule, check=False)
     return GroupEnhancement(d, enh_system, res.values, res, level_matrices)
 
@@ -431,15 +454,12 @@ def rebase(
     if max(float(np.abs(x - y).max()) for x, y in zip(outer.base.levels, gamma_path.levels)) > 1e-9:
         raise ValueError("outer coupling does not live over this enhancement")
     base = enhancement.source.base
-    enh_system = enhancement.system
-    target = outer.form.target
+    ladder = _ladder_readout(enhancement.system, enhancement.level_matrices)
 
-    def fn(s, a, v):
-        c = base.recenter(s, a, v)
-        w = _apply_ladder(enh_system.zero(), enhancement.level_matrices[s], c)
-        return outer.form.eval(s, enhancement.values[s], w)
+    def readout(s, c):
+        return outer.form.eval_rows(gamma_path, s, s, ladder(s, c))
 
-    form = CallableForm(base.times, base.system, target, fn, base_path=base)
+    form = RecenteredForm(base, outer.form.target, readout=readout)
     omega = outer.omega + enhancement.source.omega + control_from_pvar(base, enhancement.source.p)
     theta = min(outer.theta, enhancement.source.theta)
     return DominatedPath.from_form(
@@ -503,10 +523,9 @@ class ControlledPath:
     @classmethod
     def from_dominated(cls, d: DominatedPath) -> "ControlledPath":
         hp = int(math.floor(d.p))
-        degrees = range(1, hp)
-        mats = [d.base_matrices(s, degrees) for s in range(len(d.base))]
+        mats = d.base_matrices(range(1, hp))
         return cls.from_coefficients(
-            d.base, d.trace, lambda s: mats[s], d.omega, d.theta, d.p
+            d.base, d.trace, lambda s: {k: M[s] for k, M in mats.items()}, d.omega, d.theta, d.p
         )
 
     @property
@@ -548,44 +567,55 @@ class ControlledPath:
         return self.trace[t] - self.trace[s]
 
 
+def _one_steps(base: SampledGroupPath):
+    """Grid steps j and the recentred one-step directions g_j^{-1} g_j (g_{j,j+1} - 1)."""
+    j = np.arange(len(base) - 1)
+    return j, base.recenter_rows(j, [l[j] for l in base.levels], base.increments(j, j + 1))
+
+
 def controlled_iterated_integral(c1: ControlledPath, c2: ControlledPath):
     """The canonical integral of one weakly controlled path against another.
 
     Realised over the augmented path (second trace joined with the group
     path); the increment kernel pairs the running first trace with the second
-    increment and both forms with the two-factor integral split.  Returns the
-    trace and the measured integrable-condition data.
+    increment and both forms with the two-factor integral split.  The steps
+    are read at once and summed in grid order; the integrable-condition
+    residuals run over every grid triple, ``CHEN_CHUNK`` at a time.  Returns
+    the trace and the measured integrable-condition data.
     """
     if c1.base is not c2.base:
         raise ValueError("controlled integration needs a shared base path")
     base = c1.base
     N = len(base)
+    system = base.system
+    mats1, mats2 = c1.form.stacked, c2.form.stacked
 
-    def kernel(s: int, c: GradedTensor) -> np.ndarray:
-        split = double_integral(c)
-        return _pair_kernel(split, c1.form.matrices(s), c2.form.matrices(s))
-
+    j, c = _one_steps(base)
+    lead = _outer(c1.trace[j] - c1.trace[0], c2.trace[j + 1] - c2.trace[j])
+    steps = lead + _pair_kernel(_split(double_split_blocks, system, c), mats1, mats2, j, j.shape)
     trace = np.zeros((N, c1.dim * c2.dim))
-    for j in range(N - 1):
-        inc = base.increment(j, j + 1)
-        lead = np.outer(c1.increment(0, j), c2.increment(j, j + 1))
-        step = lead + kernel(j, base.recenter(j, base.values[j], inc))
-        trace[j + 1] = trace[j] + step.reshape(-1)
+    for i, step in enumerate(steps):
+        trace[i + 1] = trace[i] + step.reshape(-1)
 
     # integrable-condition residuals of the augmented one-form on triples
+    expo = min(c1.theta, (int(math.floor(c1.p)) + 1) / c1.p)
     worst = 0.0
     worst_triple = None
-    for s, u, t in grid_triples(N):
-        w = c1.omega(s, t)
-        if w <= 0:
-            continue
-        inc = base.recenter(u, base.values[u], base.increment(u, t))
-        lead_dev = np.outer(c1.increment(s, u), c2.increment(u, t))
-        kern_dev = kernel(u, inc) - kernel(s, inc)
-        dev = float(np.abs(lead_dev + kern_dev).max())
-        q = dev / w ** min(c1.theta, (int(math.floor(c1.p)) + 1) / c1.p)
-        if q > worst:
-            worst, worst_triple = q, (s, u, t)
+    triples = grid_triples(N)
+    while chunk := list(itertools.islice(triples, CHEN_CHUNK)):
+        s, u, t = np.array(chunk, dtype=np.int64).T
+        inc = base.recenter_rows(u, [l[u] for l in base.levels], base.increments(u, t))
+        blocks = _split(double_split_blocks, system, inc)
+        lead_dev = _outer(c1.trace[u] - c1.trace[s], c2.trace[t] - c2.trace[u])
+        kern_dev = _pair_kernel(blocks, mats1, mats2, u, u.shape) - _pair_kernel(blocks, mats1, mats2, s, s.shape)
+        devs = np.abs(lead_dev + kern_dev).max(axis=(-2, -1)).tolist()
+        for triple, dev in zip(chunk, devs):
+            w = c1.omega(triple[0], triple[2])
+            if w <= 0:
+                continue
+            q = dev / w**expo
+            if q > worst:
+                worst, worst_triple = q, triple
     return trace, {"ratio": worst, "worst_triple": worst_triple}
 
 
@@ -599,17 +629,9 @@ def integrate_controlled_against(
     if c1.base is not d2.base:
         raise ValueError("needs a shared base path")
     base = c1.base
-    degrees = range(1, base.system.n + 1)
-    mats2 = [d2.base_matrices(s, degrees) for s in range(len(base))]
-    target = FlatTarget(c1.dim * d2.dim)
-
-    def fn(s, a, v):
-        c = base.recenter(s, a, v)
-        lead = np.outer(c1.increment(0, s), apply_matrices(mats2[s], c, d2.dim))
-        split = double_integral(c)
-        return (lead + _pair_kernel(split, c1.form.matrices(s), mats2[s])).reshape(-1)
-
-    form = CallableForm(base.times, base.system, target, fn, base_path=base)
+    mats2 = d2.base_matrices(range(1, base.system.n + 1))
+    readout = _iterated_readout(base.system, c1.trace, c1.form.stacked, mats2)
+    form = RecenteredForm(base, c1.dim * d2.dim, readout=readout)
     omega = c1.omega + d2.omega + control_from_pvar(base, c1.p)
     theta = min(c1.theta, d2.theta, (base.system.n + 1) / c1.p)
     return DominatedPath.from_form(base, form, omega, theta, c1.p, schedule=schedule)
@@ -619,19 +641,19 @@ def integrate_controlled_against_level_one(c1: ControlledPath, schedule: str = "
     """Integral of a controlled path against the degree-one trace of the base.
 
     Needs only the level-one split, so it applies to the forest system at any
-    level.  Returns the trace (dim_U x d) on the grid.
+    level.  The steps are read at once and summed in grid order.  Returns the
+    trace (dim_U x d) on the grid.
     """
     base = c1.base
     N = len(base)
     d = base.d
+    j, c = _one_steps(base)
+    blocks = _split(level_one_split_blocks, base.system, c)
+    eye = {1: np.broadcast_to(np.eye(d), (N, d, d))}
+    steps = _outer(c1.trace[j] - c1.trace[0], c[1]) + _pair_kernel(blocks, c1.form.stacked, eye, j, j.shape)
     trace = np.zeros((N, c1.dim * d))
-    for j in range(N - 1):
-        inc = base.increment(j, j + 1)
-        c = base.recenter(j, base.values[j], inc)
-        split = level_one_integral(c)
-        lead = np.outer(c1.increment(0, j), np.array(c.levels[1]))
-        kern = _pair_kernel(split, c1.form.matrices(j), {1: np.eye(d)})
-        trace[j + 1] = trace[j] + (lead + kern).reshape(-1)
+    for i, step in enumerate(steps):
+        trace[i + 1] = trace[i] + step.reshape(-1)
     return trace
 
 

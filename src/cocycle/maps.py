@@ -75,18 +75,19 @@ class ProductTensor:
 def _double_split_block_word(system: WordSystem, k: int, block: np.ndarray) -> dict:
     """Word-system action of the double-integral map on one degree-k block."""
     d = system.d
+    lead = block.shape[:-1]
     out: dict[tuple[int, int], np.ndarray] = {}
     for k1 in range(1, k):
         k2 = k - k1
-        acc = np.zeros(d**k)
+        acc = np.zeros(lead + (d**k,))
         for perm in shuffles((k1, k2 - 1)):
             acc = acc + apply_inverse(block, extend_fixing_last(perm), d)
-        out[(k1, k2)] = acc.reshape(d**k1, d**k2)
+        out[(k1, k2)] = acc.reshape(lead + (d**k1, d**k2))
     return out
 
 
 def double_split_blocks(system: HopfSystem, k: int, block: np.ndarray) -> dict:
-    """Blockwise double-integral map on a pure degree-k input."""
+    """Blockwise double-integral map on a pure degree-k input; leading axes of ``block`` batch."""
     if isinstance(system, WordSystem):
         return _double_split_block_word(system, k, block)
     if isinstance(system, ForestSystem):
@@ -97,11 +98,11 @@ def double_split_blocks(system: HopfSystem, k: int, block: np.ndarray) -> dict:
         if k != 2:
             return {}
         d = system.d
-        out = np.zeros((d, d))
+        out = np.zeros(block.shape[:-1] + (d, d))
         for j in range(1, d + 1):
             for i in range(1, d + 1):
                 ladder = (trees.tree(i, (trees.tree(j),)),)
-                out[j - 1, i - 1] = block[system.forest_position(2, ladder)]
+                out[..., j - 1, i - 1] = block[..., system.forest_position(2, ladder)]
         return {(1, 1): out}
     raise TypeError(f"unsupported system {system!r}")
 
@@ -121,26 +122,31 @@ def double_integral(a: GradedTensor) -> ProductTensor:
     return out
 
 
+def level_one_split_blocks(system: HopfSystem, k: int, block: np.ndarray) -> dict:
+    """Blockwise level-one map on a pure degree-k input; leading axes of ``block`` batch."""
+    lead = block.shape[:-1]
+    if isinstance(system, WordSystem):
+        d = system.d
+        return {(k - 1, 1): block.reshape(lead + (d ** (k - 1), d))}
+    if isinstance(system, ForestSystem):
+        out = np.zeros(lead + (system.dim(k - 1), system.dim(1)))
+        for si, forest in enumerate(system._forests[k - 1]):
+            for i in range(1, system.d + 1):
+                grafted = (trees.graft(forest, i),)
+                pos1 = system.forest_position(1, (trees.tree(i),))
+                out[..., si, pos1] = block[..., system.forest_position(k, grafted)]
+        return {(k - 1, 1): out}
+    raise TypeError(f"unsupported system {system!r}")
+
+
 def level_one_integral(a: GradedTensor) -> ProductTensor:
     """The restriction whose second factor is the degree-one block."""
     system = a.system
     out = ProductTensor(system, 2)
-    if isinstance(system, WordSystem):
-        d = system.d
-        for k in range(2, system.n + 1):
-            out.add_block((k - 1, 1), a.levels[k].reshape(d ** (k - 1), d))
-        return out
-    if isinstance(system, ForestSystem):
-        for k in range(2, system.n + 1):
-            block = np.zeros((system.dim(k - 1), system.dim(1)))
-            for si, forest in enumerate(system._forests[k - 1]):
-                for i in range(1, system.d + 1):
-                    grafted = (trees.graft(forest, i),)
-                    pos1 = system.forest_position(1, (trees.tree(i),))
-                    block[si, pos1] = a.levels[k][system.forest_position(k, grafted)]
-            out.add_block((k - 1, 1), block)
-        return out
-    raise TypeError(f"unsupported system {system!r}")
+    for k in range(2, system.n + 1):
+        for key, arr in level_one_split_blocks(system, k, a.levels[k]).items():
+            out.add_block(key, arr)
+    return out
 
 
 _iter_matrix_cache: dict = {}

@@ -108,6 +108,11 @@ class AlgebraTarget:
     def sigma_max_norms(self, rows) -> np.ndarray:
         return np.array([self.system.sigma_max_norm(x) for x in rows.flat]).reshape(rows.shape)
 
+    def level_rows(self, levels) -> np.ndarray:
+        """Object array of the values whose stacked levels are ``levels``."""
+        shape = levels[0].shape[:-1]
+        return self.rows([GradedTensor(self.system, [l[i] for l in levels]) for i in np.ndindex(shape)], shape)
+
     def is_member(self, x, tol=1e-9) -> bool:
         return abs(x.scalar() - 1.0) <= tol
 
@@ -301,31 +306,15 @@ def _scale(x, c):
 
 
 class CallableForm(TimeVaryingOneForm):
-    """One-form from a closure ``fn(s, a, v)``; optional exposed summands."""
+    """One-form from a closure ``fn(s, a, v)``."""
 
-    def __init__(self, times, domain, target, fn, summands=None, base_path=None):
+    def __init__(self, times, domain, target, fn, base_path=None):
         super().__init__(times, domain, target)
         self._fn = fn
-        self.summands = summands
         self.base_path = base_path
 
     def eval(self, s, a, v):
         return self._fn(s, a, v)
-
-
-class FormSum(TimeVaryingOneForm):
-    """Pointwise sum of forms with a common flat target."""
-
-    def __init__(self, forms):
-        first = forms[0]
-        super().__init__(first.times, first.domain, first.target)
-        self.forms = list(forms)
-
-    def eval(self, s, a, v):
-        out = self.forms[0].eval(s, a, v)
-        for f in self.forms[1:]:
-            out = self.target.mul(out, f.eval(s, a, v))
-        return out
 
 
 # -- constant cocyclic forms -----------------------------------------------------
@@ -473,17 +462,28 @@ def polynomial_trace_increment(f: LipFunction, path: SampledGroupPath, s: int, t
 
 
 class RecenteredForm(TimeVaryingOneForm):
-    """``beta_s(a, v) = sum_k M_k(s) pi_k(g_s^{-1} a (v - v_0))`` into R^dim.
+    """``beta_s(a, v) = R_s(g_s^{-1} a (v - v_0))``: a per-time linear readout of the recentred direction.
 
+    ``readout(s, c)`` takes grid indices ``s`` and the stacked recentred
+    levels ``c``, whose leading axes broadcast with ``s``, and returns the
+    rows: an array ``(..., dim)`` into R^dim, or, into an algebra target, the
+    level list of R_s(c), to which the form adds ``v_0 1``.  Without a
+    readout the form is the matrix form ``sum_k M_k(s) pi_k(c)``:
     ``matrices(s)`` returns the per-time maps ``{k: M_k(s)}``, each of shape
     ``(dim, dim_k)``; they are built for every grid index on first use and
     kept stacked, as ``stacked[k]`` of shape ``(N, dim, dim_k)``.
+    ``target`` is the flat dimension or a target.  ``summands``, when set,
+    are forms whose sum is this one.
     """
 
-    def __init__(self, path: SampledGroupPath, dim: int, matrices):
-        super().__init__(path.times, path.system, FlatTarget(dim))
+    summands = None
+
+    def __init__(self, path: SampledGroupPath, target, matrices=None, readout=None):
+        super().__init__(path.times, path.system, FlatTarget(target) if isinstance(target, int) else target)
         self.base_path = path
         self._build = matrices
+        if readout is not None:
+            self.readout = readout
 
     @cached_property
     def stacked(self) -> dict:
@@ -493,29 +493,56 @@ class RecenteredForm(TimeVaryingOneForm):
     def matrices(self, s: int) -> dict:
         return {k: M[s] for k, M in self.stacked.items()}
 
+    def readout(self, s, c):
+        return read_matrices(self.stacked, s, c, self.target.dim)
+
+    def _rows(self, s, a, v):
+        rows = self.readout(s, self.base_path.recenter_rows(s, a, v))
+        if isinstance(self.target, AlgebraTarget):
+            # the readout's sums start from +0, so adding v_0 1 afterwards rounds as
+            # adding the terms into v_0 1 does, for the v_0 >= 0 of steps and probes
+            unit = self.target.unit().levels
+            rows = self.target.level_rows([v[0][..., :1] * u + r for u, r in zip(unit, rows)])
+        return rows
+
     def eval(self, s, a, v):
-        c = self.base_path.recenter(s, a, v)
-        return apply_matrices(self.matrices(s), c, self.target.dim)
+        return self._rows(s, a.levels, v.levels)[()]
 
     def eval_rows(self, path, s, a, v):
-        """All rows recentred at once, then read out with one stacked matmul per degree.
-
-        ``np.matmul(M, c[..., None])`` computes each row as ``M @ c`` does in
-        :func:`apply_matrices`; ``c @ M.T`` and ``einsum`` round differently.
-        """
-        c = self.base_path.recenter_rows(s, [l[a] for l in path.levels], v)
-        out = np.zeros(c[0].shape[:-1] + (self.target.dim,))
-        for k, M in self.stacked.items():
-            out = out + np.matmul(M[s], c[k][..., None])[..., 0]
-        return out
+        """All rows recentred at once (two stacked ``mul_levels``), then read out at once."""
+        return self._rows(s, [l[a] for l in path.levels], v)
 
 
-def apply_matrices(mats: dict, c: GradedTensor, dim: int) -> np.ndarray:
-    """sum_k M_k pi_k(c), accumulated in the order of ``mats``."""
-    out = np.zeros(dim)
+def read_matrices(mats: dict, s, c, dim: int) -> np.ndarray:
+    """``sum_k M_k[s] pi_k(c)`` row by row, accumulated in the order of ``mats``.
+
+    ``mats[k]`` stacks per-time matrices ``(N, dim, dim_k)``.  Each degree is
+    one ``np.matmul(M[s], c_k[..., None])[..., 0]``, which computes every row
+    as ``M @ c_k`` does; ``c @ M.T`` and ``einsum`` round differently.
+    """
+    out = np.zeros(c[0].shape[:-1] + (dim,))
     for k, M in mats.items():
-        out = out + M @ c.levels[k]
+        out = out + np.matmul(M[s], c[k][..., None])[..., 0]
     return out
+
+
+class FormSum(RecenteredForm):
+    """Pointwise sum of recentred forms over one base path, with a common flat target."""
+
+    def __init__(self, forms):
+        first = forms[0]
+        if not isinstance(first.target, FlatTarget) or any(
+            not isinstance(f, RecenteredForm) or f.base_path is not first.base_path for f in forms
+        ):
+            raise ValueError("a form sum needs flat recentred forms over one base path")
+        super().__init__(first.base_path, first.target)
+        self.forms = list(forms)
+
+    def readout(self, s, c):
+        out = self.forms[0].readout(s, c)
+        for f in self.forms[1:]:
+            out = out + f.readout(s, c)
+        return out
 
 
 # -- rough-integration one-forms ---------------------------------------------------

@@ -126,12 +126,40 @@ class SampledGroupPath:
 def grid_triples(N: int, max_triples: int | None = None):
     """Grid triples s < u < t in lexicographic order, lazily.
 
-    With a cap, every stride-th triple, ``stride = C(N, 3) // max_triples + 1``,
-    so memory stays O(1) whatever N is.
+    With a cap, every stride-th triple, ``stride = C(N, 3) // max_triples + 1``:
+    the triples of lexicographic rank 0, stride, 2 stride, ..., each unranked
+    directly, so the work is O(max_triples log N) and memory O(1) whatever N is.
     """
     total = math.comb(N, 3)
-    stride = 1 if max_triples is None or total <= max_triples else total // max_triples + 1
-    return itertools.islice(itertools.combinations(range(N), 3), 0, None, stride)
+    if max_triples is None or total <= max_triples:
+        return itertools.combinations(range(N), 3)
+    return (_unrank_triple(N, r) for r in range(0, total, total // max_triples + 1))
+
+
+def _unrank_triple(N: int, r: int) -> tuple:
+    """The triple of lexicographic rank r among the grid triples of range(N).
+
+    The triples whose first index is at least s number C(N - s, 3); those with
+    first index s and middle index at least u number C(N - u, 2).  Each index
+    is the largest one whose predecessors' count does not exceed the rank.
+    """
+    later = math.comb(N, 3) - r  # triples of rank >= r
+    s = _last_at_least(0, N - 3, lambda i: math.comb(N - i, 3) >= later)
+    later -= math.comb(N - s - 1, 3)  # now counts the (u, t) pairs of rank >= r within s
+    u = _last_at_least(s + 1, N - 2, lambda i: math.comb(N - i, 2) >= later)
+    t = N - later + math.comb(N - u - 1, 2)
+    return (s, u, t)
+
+
+def _last_at_least(lo: int, hi: int, holds) -> int:
+    """The largest i in [lo, hi] with ``holds(i)``, for a predicate true on a prefix starting at lo."""
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 CHEN_CHUNK = 4096  # triples per batched product in chen_residual

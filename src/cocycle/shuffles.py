@@ -106,13 +106,15 @@ def apply_inverse(block: np.ndarray, perm: tuple[int, ...], d: int) -> np.ndarra
     ``out`` is the coefficient of ``u o p^{-1}`` in ``v``; this is the linear
     action used when unshuffling an iterated integral.  (numpy's transpose
     composes indices with the inverse of its axes argument, so passing ``p``
-    yields exactly ``u o p^{-1}``.)
+    yields exactly ``u o p^{-1}``.)  Leading axes of ``block`` batch.
     """
     m = len(perm)
     if m <= 1:
         return block
-    arr = block.reshape((d,) * m)
-    return np.ascontiguousarray(arr.transpose(perm)).reshape(-1)
+    lead = block.shape[:-1]
+    arr = block.reshape(lead + (d,) * m)
+    axes = tuple(range(len(lead))) + tuple(len(lead) + q for q in perm)
+    return np.ascontiguousarray(arr.transpose(axes)).reshape(lead + (-1,))
 
 
 def extend_fixing_last(perm: tuple[int, ...]) -> tuple[int, ...]:

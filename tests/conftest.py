@@ -47,3 +47,15 @@ def path_max_dev(p1, p2):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def eval_calls(monkeypatch):
+    """The arguments of every per-row ``eval`` of a one-form made while the test runs."""
+    from cocycle import one_forms
+
+    calls = []
+    for cls in vars(one_forms).values():
+        if isinstance(cls, type) and issubclass(cls, one_forms.TimeVaryingOneForm) and "eval" in vars(cls):
+            monkeypatch.setattr(cls, "eval", lambda *args, f=cls.eval: calls.append(args[1:]) or f(*args))
+    return calls

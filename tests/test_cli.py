@@ -300,6 +300,15 @@ def test_integrate_reads_recentred_forms_in_rows(capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", ["iterate_walk", "product_walk", "compose_walk", "enhance_walk"])
+def test_dominated_commands_read_forms_in_rows(name, capsys, eval_calls):
+    # the calculus forms, their certificates and their sewing make no per-row eval
+    code, out, err = run_cli(golden_argv(name), capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+    assert eval_calls == []
+
+
 def test_system_flag_gates_csv(line_csv, capsys):
     code, _, err = run_cli(
         ["signature", "--system", "butcher", "--depth", "2", line_csv], capsys=capsys
@@ -366,6 +375,8 @@ ASYMMETRIC_FORM = json.dumps({
 })
 LINEAR_FORM = '{"d": 1, "target_dim": 1, "degree": 1, "derivatives": [[[0.0]], [[[1.0]]]]}'
 HUGE_FORM = '{"d": 1, "target_dim": 1, "degree": 1, "derivatives": [[[1e308]], [[[1.0]]]]}'
+# a function on R^2, composed with the one-dimensional trace of form2.json
+PLANE_FUNCTION = '{"in_dim": 2, "out_dim": 1, "degree": 1, "gamma": 3.0, "derivatives": [[0.1], [[0.5, 0.2]]]}'
 
 
 def form_args(argv, tmp_path, **forms):
@@ -392,13 +403,15 @@ def form_args(argv, tmp_path, **forms):
         (["integrate", "--p", "2", "--form", "{asymmetric}"], "t,x1,x2\n0,0,0\n1,1,0\n"),
         (["integrate", "--p", "2", "--theta", "nan", "--form", "{nan}"], "t,x1\n0,0\n1,1\n"),
         (["extend", "--depth", "2", "--to-level", "1"], "t,x1\n0,0\n1,1\n2,0\n"),
+        (["compose", "--p", "2", "--form", str(GOLDEN_DIR / "form2.json"), "--f", "{plane}"],
+         "t,x1,x2\n0,0,0\n1,1,0\n2,0,1\n"),
     ],
     ids=["nan-time", "inf-coordinate", "json-nan-time", "json-inf-coefficient",
          "depth-0", "p-below-1", "nan-form", "asymmetric-form", "theta-nan",
-         "to-level-below-depth"],
+         "to-level-below-depth", "compose-function-dimension"],
 )
 def test_bad_input_exit_2(argv, text, capsys, tmp_path):
-    argv = form_args(argv, tmp_path, nan=NAN_FORM, asymmetric=ASYMMETRIC_FORM)
+    argv = form_args(argv, tmp_path, nan=NAN_FORM, asymmetric=ASYMMETRIC_FORM, plane=PLANE_FUNCTION)
     code, out, err = run_cli(argv, stdin_text=text, capsys=capsys)
     assert code == 2
     assert out == ""

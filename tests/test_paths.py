@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,14 +90,17 @@ def test_chen_batched_matches_loop(rng):
     assert abs(batched - worst) < 1e-13
 
 
-@pytest.mark.parametrize("N", [0, 2, 3, 9, 40])
-@pytest.mark.parametrize("cap", [None, 1, 100, 10**6])
+GRID_TRIPLE_CASES = [(N, cap) for cap in (None, 1, 100, 10**6) for N in (0, 2, 3, 9, 40)] + [(1000, 512)]
+
+
+@pytest.mark.parametrize("N, cap", GRID_TRIPLE_CASES, ids=[f"{cap}-{N}" for N, cap in GRID_TRIPLE_CASES])
 def test_grid_triples_is_the_strided_triple_list(N, cap):
-    # the full lexicographic list, then every stride-th triple
-    full = [(s, u, t) for s in range(N) for u in range(s + 1, N) for t in range(u + 1, N)]
-    if cap is not None and len(full) > cap:
-        full = full[:: len(full) // cap + 1]
-    assert list(grid_triples(N, cap)) == full
+    # the full lexicographic list, then every stride-th triple; walked lazily,
+    # as C(1000, 3) triples do not fit in memory
+    total = math.comb(N, 3)
+    stride = 1 if cap is None or total <= cap else total // cap + 1
+    full = itertools.islice(itertools.combinations(range(N), 3), 0, None, stride)
+    assert list(grid_triples(N, cap)) == list(full)
 
 
 def test_butcher_path_from_increments(rng):
