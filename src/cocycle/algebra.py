@@ -92,6 +92,14 @@ class GradedTensor:
         return f"GradedTensor({s.kind}, d={s.d}, n={s.n}, norm={self.norm():.3g})"
 
 
+def stack_levels(system: "HopfSystem", tensors) -> list:
+    """The levels of a sequence of tensors stacked as ``(N, dim_k)`` arrays."""
+    return [
+        np.array([t.levels[k] for t in tensors], dtype=float).reshape(-1, system.dim(k))
+        for k in range(system.n + 1)
+    ]
+
+
 def has_unit_scalar(levels) -> bool:
     """Whether the degree-0 coefficients are 1, to the tolerance every inverse uses."""
     return bool(np.allclose(np.asarray(levels[0]), 1.0, atol=1e-9))
@@ -174,28 +182,40 @@ class HopfSystem:
         return GradedTensor(self, self.inverse_levels(a.levels))
 
     # -- series ------------------------------------------------------------
+    def exp_levels(self, v):
+        """exp on raw level lists; leading axes batch.  Every row is the
+        truncated series ``sum_k v^k / k!``, each term ``(1/k) (term v)``."""
+        v = [np.asarray(l, dtype=float) for l in v]
+        if np.any(np.abs(v[0]) > 1e-12):
+            raise ValueError("exp needs degree-0 coefficient 0")
+        term = self.unit().levels
+        out = [np.zeros(v[0].shape[:-1] + u.shape) + u for u in term]
+        for k in range(1, self.n + 1):
+            term = [(1.0 / k) * l for l in self.mul_levels(term, v)]
+            out = [a + b for a, b in zip(out, term)]
+        return out
+
+    def log_levels(self, a):
+        """log on raw level lists; leading axes batch.  Every row is the
+        truncated series ``sum_k (-1)^(k+1) u^k / k`` of ``u = a - 1``."""
+        a = [np.asarray(l, dtype=float) for l in a]
+        if np.any(np.abs(a[0] - 1.0) > 1e-9):
+            raise ValueError("log needs degree-0 coefficient 1")
+        term = self.unit().levels
+        u = [l - e for l, e in zip(a, term)]
+        out = [np.zeros_like(l) for l in u]
+        for k in range(1, self.n + 1):
+            term = self.mul_levels(term, u)
+            out = [o + ((-1.0) ** (k + 1) / k) * t for o, t in zip(out, term)]
+        return out
+
     def exp(self, v: GradedTensor) -> GradedTensor:
         self.require_same(v.system)
-        if abs(v.scalar()) > 1e-12:
-            raise ValueError("exp needs degree-0 coefficient 0")
-        out = self.unit()
-        term = self.unit()
-        for k in range(1, self.n + 1):
-            term = (1.0 / k) * self.mul(term, v)
-            out = out + term
-        return out
+        return GradedTensor(self, self.exp_levels(v.levels))
 
     def log(self, a: GradedTensor) -> GradedTensor:
         self.require_same(a.system)
-        if abs(a.scalar() - 1.0) > 1e-9:
-            raise ValueError("log needs degree-0 coefficient 1")
-        u = a - self.unit()
-        out = self.zero()
-        term = self.unit()
-        for k in range(1, self.n + 1):
-            term = self.mul(term, u)
-            out = out + ((-1.0) ** (k + 1) / k) * term
-        return out
+        return GradedTensor(self, self.log_levels(a.levels))
 
     # -- grading operators ---------------------------------------------------
     def truncate(self, a: GradedTensor, m: int) -> GradedTensor:

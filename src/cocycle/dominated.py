@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trees
-from .algebra import ForestSystem, GradedTensor, HopfSystem, tensor_system
+from .algebra import ForestSystem, GradedTensor, HopfSystem, stack_levels, tensor_system
 from .maps import (
     _degree_tuples,
     _double_block_matrices,
@@ -302,11 +302,9 @@ def compose(
         scale = 1.0
 
     tuples_by_l = {l: list(_degree_tuples(l, hp)) for l in range(1, hp + 1)}
-    # the derivatives at the running trace value, once per time
-    derivs = {
-        l: np.stack([f.deriv(l, X).reshape(wdim, -1) / scale for X in d.trace])  # (N, w, u^l)
-        for l in range(1, hp + 1)
-    }
+    # the derivatives at the running trace values, one call per order
+    N = len(d.trace)
+    derivs = {l: f.deriv_rows(l, d.trace).reshape(N, wdim, -1) / scale for l in range(1, hp + 1)}  # (N, w, u^l)
 
     def readout(s, c):
         shape = c[0].shape[:-1]
@@ -346,9 +344,13 @@ class GroupEnhancement:
     values: list  # GradedTensor per grid time
     result: SewingResult
     level_matrices: dict  # {level: {degree: (N, dim_level, dim_k)}}, stacked over the grid
+    _path: SampledGroupPath | None = field(default=None, init=False, repr=False)
 
     def as_sampled_path(self) -> SampledGroupPath:
-        return SampledGroupPath(self.system, self.source.base.times, self.values)
+        """The values as a sampled path, stacked once."""
+        if self._path is None:
+            self._path = SampledGroupPath(self.system, self.source.base.times, stack_levels(self.system, self.values))
+        return self._path
 
     def pair_value(self, s: int, t: int) -> GradedTensor:
         return self.system.mul(self.system.inverse(self.values[s]), self.values[t])
@@ -515,9 +517,7 @@ class ControlledPath:
         if base.level != hp:
             raise ValueError("controlled paths expect the base at level [p]")
         lowsys = tensor_system(base.system.kind, base.d, hp - 1)
-        low = SampledGroupPath(
-            lowsys, base.times, [base.system.truncate(v, hp - 1) for v in base.values]
-        )
+        low = SampledGroupPath(lowsys, base.times, base.levels[:hp])
         return cls(base, low, np.asarray(trace, dtype=float), coeff_fn, omega, theta, p)
 
     @classmethod
@@ -669,20 +669,18 @@ def step2_enhancement_of_controlled(c: ControlledPath) -> SampledGroupPath:
     e = c.dim
     enh = tensor_system("butcher", e, 2)
     pair_trace, _ = controlled_iterated_integral(c, c)
+    pair_trace = pair_trace.reshape(-1, e, e)
     N = len(c.base)
-    values = []
-    for t in range(N):
-        val = enh.zero()
-        val.levels[0][0] = 1.0
-        x = c.trace[t] - c.trace[0]
-        for i in range(e):
-            val.levels[1][enh.forest_position(1, (trees.tree(i + 1),))] = x[i]
-        for i in range(e):
-            for j in range(e):
-                forest = trees.forest_concat((trees.tree(i + 1),), (trees.tree(j + 1),))
-                val.levels[2][enh.forest_position(2, forest)] = x[i] * x[j]
-                ladder = (trees.tree(i + 1, (trees.tree(j + 1),)),)
-                # integral of coordinate j against coordinate i
-                val.levels[2][enh.forest_position(2, ladder)] = pair_trace[t].reshape(e, e)[j, i]
-        values.append(val)
-    return SampledGroupPath(enh, c.base.times, values)
+    levels = [np.zeros((N, enh.dim(k))) for k in range(3)]
+    levels[0][:, 0] = 1.0
+    x = c.trace - c.trace[0]
+    for i in range(e):
+        levels[1][:, enh.forest_position(1, (trees.tree(i + 1),))] = x[:, i]
+    for i in range(e):
+        for j in range(e):
+            forest = trees.forest_concat((trees.tree(i + 1),), (trees.tree(j + 1),))
+            levels[2][:, enh.forest_position(2, forest)] = x[:, i] * x[:, j]
+            ladder = (trees.tree(i + 1, (trees.tree(j + 1),)),)
+            # integral of coordinate j against coordinate i
+            levels[2][:, enh.forest_position(2, ladder)] = pair_trace[:, j, i]
+    return SampledGroupPath(enh, c.base.times, levels)

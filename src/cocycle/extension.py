@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trees
-from .algebra import ForestSystem, GradedTensor, WordSystem, tensor_system
+from .algebra import ForestSystem, GradedTensor, WordSystem, stack_levels, tensor_system
 from .one_forms import AlgebraTarget, CertificateError, LevelRaisingForm
 from .paths import Control, SampledGroupPath, control_from_pvar, p_variation
 from .sewing import sew_generic
@@ -111,7 +111,7 @@ def extend_one_level(
     prefixes, _total, _removals, _bound = sew_generic(
         one_steps, len(path), AlgebraTarget(upper), omega, theta, schedule
     )
-    return SampledGroupPath(upper, path.times, prefixes)
+    return SampledGroupPath(upper, path.times, stack_levels(upper, prefixes))
 
 
 def extend_to_level(

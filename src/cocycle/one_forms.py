@@ -131,7 +131,9 @@ class LipFunction:
     """A gamma-Lipschitz function given by its derivative stack.
 
     ``deriv(l, x)`` returns the l-th derivative at x with shape
-    ``out_shape + (in_dim,) * l`` (derivative slots last, symmetric).
+    ``out_shape + (in_dim,) * l`` (derivative slots last, symmetric), and
+    ``deriv_rows(l, X)`` those at the rows of ``X``, stacked.  ``deriv_fn``
+    evaluates one point; ``rows_fn``, when set, evaluates many at once.
     One-form-valued functions use ``out_shape = (m, in_dim)`` with the
     direction slot second.
     """
@@ -141,17 +143,32 @@ class LipFunction:
     out_shape: tuple
     deriv_fn: object
     lip_bound_fn: object = None
+    rows_fn: object = None
 
     @property
     def top(self) -> int:
         return strict_floor(self.gamma)
 
     def deriv(self, l: int, x) -> np.ndarray:
-        arr = np.asarray(self.deriv_fn(l, np.asarray(x, dtype=float)), dtype=float)
+        """The one-row case of :meth:`deriv_rows`."""
+        return self.deriv_rows(l, np.asarray(x, dtype=float)[None])[0]
+
+    def deriv_rows(self, l: int, X) -> np.ndarray:
+        """The l-th derivatives at the rows of ``X``, shape ``(R,) + out_shape + (in_dim,) * l``.
+
+        Without ``rows_fn``, ``deriv_fn`` is called once per row.
+        """
+        X = np.asarray(X, dtype=float)
+        if self.rows_fn is not None:
+            return self.rows_fn(l, X)
         want = tuple(self.out_shape) + (self.in_dim,) * l
-        if arr.shape != want:
-            raise ValueError(f"derivative {l} has shape {arr.shape}, want {want}")
-        return arr
+        out = np.empty((X.shape[0],) + want)
+        for i, x in enumerate(X):
+            arr = np.asarray(self.deriv_fn(l, x), dtype=float)
+            if arr.shape != want:
+                raise ValueError(f"derivative {l} has shape {arr.shape}, want {want}")
+            out[i] = arr
+        return out
 
     def lip_bound(self, R: float) -> float:
         if self.lip_bound_fn is None:
@@ -178,15 +195,27 @@ class LipFunction:
         if gamma is None:
             gamma = float(degree + 1)
 
-        def deriv_fn(l, x):
+        def rows_fn(l, X):
+            """Taylor sums ``sum_j (D^{l+j} p)(0) x^j / j!`` at every row x of X.
+
+            Each contraction with x is one ``np.matmul`` over the rows, which
+            rounds as ``np.tensordot`` of one row does.
+            """
+            R = X.shape[0]
             if l >= len(arrays):
-                return np.zeros(tuple(out_shape) + (in_dim,) * l)
-            out = np.zeros_like(arrays[l])
+                return np.zeros((R,) + tuple(out_shape) + (in_dim,) * l)
+            slot = len(out_shape) + l  # the first slot past the kept ones
+            col = X[:, :, None]
+            out = np.zeros((R,) + arrays[l].shape)
             fact = 1.0
             for j in range(len(arrays) - l):
                 term = arrays[l + j]
-                for _ in range(j):
-                    term = np.tensordot(term, x, axes=([len(out_shape) + l], [0]))
+                for c in range(j):
+                    lead = int(c > 0)  # the row axis, once the rows are in
+                    moved = np.moveaxis(term, lead + slot, -1)
+                    rest = moved.shape[lead:-1]
+                    flat = moved.reshape(moved.shape[:lead] + (-1, in_dim))
+                    term = np.matmul(flat, col).reshape((R,) + rest)
                 out = out + term / fact
                 fact *= j + 1
             return out
@@ -200,7 +229,10 @@ class LipFunction:
                 ))
             return max(total, 1e-300)
 
-        return cls(gamma, in_dim, tuple(out_shape), deriv_fn, lip_bound_fn)
+        def deriv_fn(l, x):
+            return rows_fn(l, x[None])[0]
+
+        return cls(gamma, in_dim, tuple(out_shape), deriv_fn, lip_bound_fn, rows_fn)
 
 
 def _check_symmetric(arr: np.ndarray, l: int, tol: float = 1e-10):
@@ -365,13 +397,12 @@ class LevelRaisingForm(TimeVaryingOneForm):
         self.upper = tensor_system(path.system.kind, path.d, m + 1)
         super().__init__(path.times, path.system, AlgebraTarget(self.upper))
         self.base_path = path
-        self._inv_padded = [
-            self.upper.inverse(path.system.embed(v, m + 1)) for v in path.values
-        ]
+        padded = path.levels + [np.zeros((len(path), self.upper.dim(m + 1)))]
+        self._inv_padded = self.upper.inverse_levels(padded)
 
     def eval(self, s, a, v):
         dom, up, m = self.domain, self.upper, self.m
-        gi = self._inv_padded[s]
+        gi = GradedTensor(up, [l[s] for l in self._inv_padded])
         av = dom.mul(a, v)
         c1 = up.project(up.mul(gi, dom.embed(a, m + 1)), m)
         c2 = up.project(up.mul(gi, dom.embed(av, m + 1)), m)
@@ -471,7 +502,8 @@ class RecenteredForm(TimeVaryingOneForm):
     readout the form is the matrix form ``sum_k M_k(s) pi_k(c)``:
     ``matrices(s)`` returns the per-time maps ``{k: M_k(s)}``, each of shape
     ``(dim, dim_k)``; they are built for every grid index on first use and
-    kept stacked, as ``stacked[k]`` of shape ``(N, dim, dim_k)``.
+    kept stacked, as ``stacked[k]`` of shape ``(N, dim, dim_k)``; a form
+    that builds all times at once overrides ``stacked``.
     ``target`` is the flat dimension or a target.  ``summands``, when set,
     are forms whose sum is this one.
     """
@@ -559,11 +591,12 @@ def _rough_order(f: LipFunction, p: float) -> int:
     return int(math.floor(p))
 
 
-def _taylor_matrices(f: LipFunction, x: np.ndarray, hp: int) -> dict:
-    """``{l + 1: (D^l f)(x)}`` for l < [p], direction slot moved last."""
-    m = f.out_shape[0]
+def _taylor_matrices(f: LipFunction, X: np.ndarray, hp: int) -> dict:
+    """``{l + 1: (D^l f)(x)}`` for l < [p] at every row x of X, stacked
+    ``(R, m, d^(l+1))``, direction slot moved last; one call per order."""
+    R, m = X.shape[0], f.out_shape[0]
     return {
-        l + 1: np.moveaxis(f.deriv(l, x), 1, -1).reshape(m, -1)
+        l + 1: np.moveaxis(f.deriv_rows(l, X), 2, -1).reshape(R, m, -1)
         for l in range(min(hp, f.top + 1))
     }
 
@@ -583,13 +616,15 @@ class RoughOneForm(RecenteredForm):
             raise ValueError("this construction is for the word system")
         if path.level < hp:
             raise ValueError("base path level below [p]")
-        super().__init__(
-            path, f.out_shape[0], lambda s: _taylor_matrices(f, path.level_one(s), hp)
-        )
+        super().__init__(path, f.out_shape[0])
         self.f = f
         self.p = p
         self.hp = hp
         self.theta = (min(f.gamma, float(hp)) + 1.0) / p
+
+    @cached_property
+    def stacked(self) -> dict:
+        return _taylor_matrices(self.f, self.base_path.levels[1], self.hp)
 
 
 class BranchedRoughOneForm(RecenteredForm):
@@ -603,24 +638,26 @@ class BranchedRoughOneForm(RecenteredForm):
         hp = _rough_order(f, p)
         if not isinstance(path.system, ForestSystem):
             raise ValueError("this construction is for the forest system")
-        super().__init__(path, f.out_shape[0], self._corolla_matrices)
+        super().__init__(path, f.out_shape[0])
         self.f = f
         self.p = p
         self.hp = hp
         self.theta = (min(f.gamma, float(hp)) + 1.0) / p
 
-    def _corolla_matrices(self, s: int) -> dict:
+    @cached_property
+    def stacked(self) -> dict:
+        """The corolla matrices of every grid time, one derivative call per order."""
         sysm, m = self.domain, self.f.out_shape[0]
-        x = self.base_path.level_one(s)
+        X = self.base_path.levels[1]
         mats = {}
         for l in range(min(self.hp, self.f.top + 1)):
-            D = self.f.deriv(l, x) / math.factorial(l)  # (m, d, d^l)
-            M = np.zeros((m, sysm.dim(l + 1)))
+            D = self.f.deriv_rows(l, X) / math.factorial(l)  # (N, m, d, d^l)
+            M = np.zeros((X.shape[0], m, sysm.dim(l + 1)))
             for leaves in itertools.product(range(1, sysm.d + 1), repeat=l):
                 for i in range(1, sysm.d + 1):
                     corolla = trees.tree(i, tuple(trees.tree(j) for j in leaves))
                     pos = sysm.forest_position(l + 1, (corolla,))
-                    M[:, pos] += D[(slice(None), i - 1) + tuple(j - 1 for j in reversed(leaves))]
+                    M[:, :, pos] += D[(slice(None), slice(None), i - 1) + tuple(j - 1 for j in reversed(leaves))]
             mats[l + 1] = M
         return mats
 
@@ -641,7 +678,8 @@ class TimeVaryingRoughOneForm(RecenteredForm):
             raise ValueError("need one function per grid point")
         hp = _rough_order(f0, p)
         super().__init__(
-            path, f0.out_shape[0], lambda s: _taylor_matrices(fs[s], path.level_one(s), hp)
+            path, f0.out_shape[0],
+            lambda s: {k: M[0] for k, M in _taylor_matrices(fs[s], path.levels[1][s : s + 1], hp).items()},
         )
         self.fs = fs
         self.p = p

@@ -14,20 +14,23 @@ import numpy as np
 
 
 def _refine(points: np.ndarray, times: np.ndarray, mesh: int):
-    """Subdivide each segment evenly so the grid has about ``mesh`` steps."""
+    """Subdivide each segment evenly so the grid has about ``mesh`` steps.
+
+    Point i of segment k is ``x_k + (i / sub) (x_{k+1} - x_k)``, all points at once.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     times = np.asarray(times, dtype=float)
     nseg = pts.shape[0] - 1
     sub = max(1, int(np.ceil(mesh / nseg)))
-    ts, xs = [times[0]], [pts[0]]
-    for k in range(nseg):
-        for i in range(1, sub + 1):
-            frac = i / sub
-            ts.append(times[k] + frac * (times[k + 1] - times[k]))
-            xs.append(pts[k] + frac * (pts[k + 1] - pts[k]))
-    return np.array(ts), np.stack(xs)
+    frac = np.arange(1, sub + 1) / sub
+    ts = times[:-1, None] + frac * np.diff(times)[:, None]
+    xs = pts[:-1, None, :] + frac[:, None] * np.diff(pts, axis=0)[:, None, :]
+    return (
+        np.concatenate([times[:1], ts.reshape(-1)]),
+        np.concatenate([pts[:1], xs.reshape(-1, pts.shape[1])]),
+    )
 
 
 def _word_integral_on_grid(xs: np.ndarray, word: tuple[int, ...]) -> float:
@@ -112,22 +115,25 @@ def riemann_one_form_integral(deriv_arrays, points, mesh: int = 256, times=None)
         times = np.arange(pts.shape[0], dtype=float)
     m = deriv_arrays[0].shape[0]
 
-    def value_at(x):
-        out = np.zeros((m, pts.shape[1]))
+    def values_at(xs):
+        """The one-form matrices ``(R, m, d)`` at the rows of xs; each contraction
+        is one ``np.matmul`` over the rows, rounding as ``np.tensordot`` does per row."""
+        col = xs[:, :, None]
+        out = np.zeros((xs.shape[0], m, pts.shape[1]))
         for l, arr in enumerate(deriv_arrays):
             term = arr
-            for _ in range(l):
-                term = np.tensordot(term, x, axes=([term.ndim - 1], [0]))
-            out += term / _fact(l)
+            for c in range(l):
+                flat = term.reshape(term.shape[: int(c > 0)] + (-1, term.shape[-1]))
+                term = np.matmul(flat, col).reshape((xs.shape[0],) + term.shape[int(c > 0) : -1])
+            out = out + term / _fact(l)
         return out
 
     vals = []
     for mm in (mesh, 2 * mesh):
         _, xs = _refine(pts, times, mm)
-        acc = np.zeros(m)
-        for i in range(xs.shape[0] - 1):
-            acc = acc + value_at(xs[i]) @ (xs[i + 1] - xs[i])
-        vals.append(acc)
+        steps = np.matmul(values_at(xs[:-1]), np.diff(xs, axis=0)[:, :, None])[:, :, 0]
+        # the left-endpoint sum from zero, in grid order
+        vals.append(np.cumsum(np.concatenate([np.zeros((1, m)), steps]), axis=0)[-1])
     value = 2.0 * vals[1] - vals[0]
     return value, 4.0 * float(np.abs(vals[1] - vals[0]).max()) + 1e-15
 

@@ -16,43 +16,56 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .algebra import GradedTensor, HopfSystem, tensor_system
+from .algebra import GradedTensor, HopfSystem, stack_levels, tensor_system
 
 
 class SampledGroupPath:
     """Time grid plus grouplike values; increments g_s^{-1} g_t on demand.
 
     ``levels[k]`` stacks the degree-k blocks of the values as an ``(N, dim_k)``
-    array; ``inverse_levels`` are those of the inverses, computed once when
-    first needed.
+    array, the one copy of the path; ``inverse_levels`` are those of the
+    inverses, computed once when first needed.  ``values`` reads the rows as
+    tensors, for per-row callers.
     """
 
-    def __init__(self, system: HopfSystem, times, values, validate: bool = False):
+    def __init__(self, system: HopfSystem, times, levels, validate: bool = False):
         self.system = system
         self.times = np.asarray(times, dtype=float)
-        if self.times.ndim != 1 or len(values) != self.times.shape[0]:
+        levels = [np.asarray(l, dtype=float) for l in levels]
+        if len(levels) != system.n + 1:
+            raise ValueError(f"expected {system.n + 1} levels, got {len(levels)}")
+        N = self.times.shape[0] if self.times.ndim == 1 else -1
+        if any(l.shape != (N, system.dim(k)) for k, l in enumerate(levels)):
             raise ValueError("times and values must align")
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
-        self.values = list(values)
-        N = len(self.values)
-        self.levels = [
-            np.array([v.levels[k] for v in self.values], dtype=float).reshape(N, system.dim(k))
-            for k in range(system.n + 1)
-        ]
+        self.levels = levels
         self._dist: np.ndarray | None = None
+        self._pvar_rows = weakref.WeakValueDictionary()
         if validate:
             for v in self.values:
                 if not system.grouplike_check(v, 1e-9):
                     raise ValueError("path value fails the grouplike relations")
 
+    @cached_property
+    def values(self) -> list:
+        """The values one row at a time: tensors over read-only views of ``levels``."""
+        out = []
+        for i in range(len(self)):
+            t = GradedTensor(self.system, [l[i] for l in self.levels])
+            for l in t.levels:
+                l.flags.writeable = False
+            out.append(t)
+        return out
+
     def __len__(self) -> int:
-        return len(self.values)
+        return self.times.shape[0]
 
     @property
     def d(self) -> int:
@@ -95,21 +108,25 @@ class SampledGroupPath:
         return self.levels[1][i].copy()
 
     def dilate(self, c: float) -> "SampledGroupPath":
-        return SampledGroupPath(
-            self.system, self.times, [self.system.dilate(v, c) for v in self.values]
-        )
+        return SampledGroupPath(self.system, self.times, [(c**k) * l for k, l in enumerate(self.levels)])
 
     def restrict(self, indices) -> "SampledGroupPath":
         idx = list(indices)
-        return SampledGroupPath(
-            self.system, self.times[idx], [self.values[i] for i in idx]
-        )
+        return SampledGroupPath(self.system, self.times[idx], [l[idx] for l in self.levels])
 
     def subgrid_of(self, other: "SampledGroupPath", tol: float = 1e-12) -> bool:
         pos = np.searchsorted(other.times, self.times)
         pos = np.clip(pos, 0, len(other) - 1)
         ok = np.abs(other.times[pos] - self.times) <= tol
         return bool(np.all(ok))
+
+    def pvar_rows(self, p: float) -> "_PVarRows":
+        """The one p-variation DP row store of this path and p, kept beside the norm table
+        while a control or a caller holds it; its (N, N) powers then go with it."""
+        rows = self._pvar_rows.get(p)
+        if rows is None:
+            rows = self._pvar_rows[p] = _PVarRows(self.increment_norms, p)
+        return rows
 
     def increment_norms(self) -> np.ndarray:
         """Homogeneous norms of all pairwise increments (i < j), one row of pairs at a time."""
@@ -190,7 +207,11 @@ def signature_of_segment(v, n: int) -> GradedTensor:
 
 
 def signature_piecewise_linear(points, n: int, times=None) -> SampledGroupPath:
-    """Running step-n signature of a piecewise-linear path, by Chen products."""
+    """Running step-n signature of a piecewise-linear path, by Chen products.
+
+    The segment exponentials are one stacked series; the running product
+    stays sequential, one row at a time.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -200,22 +221,29 @@ def signature_piecewise_linear(points, n: int, times=None) -> SampledGroupPath:
     system = tensor_system("nilpotent", d, n)
     if times is None:
         times = np.arange(pts.shape[0], dtype=float)
-    g = system.unit()
-    values = [g]
-    for k in range(pts.shape[0] - 1):
-        g = system.mul(g, signature_of_segment(pts[k + 1] - pts[k], n))
-        values.append(g)
-    return SampledGroupPath(system, times, values)
+    steps = np.diff(pts, axis=0)
+    lift = [np.zeros((steps.shape[0], system.dim(k))) for k in range(n + 1)]
+    if n >= 1:
+        lift[1] = steps
+    return _running_products(system, times, system.exp_levels(lift))
 
 
 def path_from_increments(system: HopfSystem, times, step_values) -> SampledGroupPath:
     """Running products of per-interval group increments, starting at the unit."""
-    g = system.unit()
-    values = [g]
-    for inc in step_values:
-        g = system.mul(g, inc)
-        values.append(g)
-    return SampledGroupPath(system, times, values)
+    return _running_products(system, times, stack_levels(system, step_values))
+
+
+def _running_products(system: HopfSystem, times, steps) -> SampledGroupPath:
+    """The path g_0 = 1, g_{j+1} = g_j s_j of the stacked step levels ``steps``."""
+    N = steps[0].shape[0] + 1
+    levels = [np.empty((N, system.dim(k))) for k in range(system.n + 1)]
+    g = system.unit().levels
+    for j in range(N):
+        if j:
+            g = system.mul_levels(g, [l[j - 1] for l in steps])
+        for l, row in zip(levels, g):
+            l[j] = row
+    return SampledGroupPath(system, times, levels)
 
 
 # -- p-variation ---------------------------------------------------------------
@@ -255,7 +283,7 @@ def p_variation(path: SampledGroupPath, p: float, window=None) -> float:
     i0, i1 = (0, len(path) - 1) if window is None else window
     if i0 >= i1:
         return 0.0
-    return _PVarRows(path.increment_norms, p)(i0, i1) ** (1.0 / p)
+    return path.pvar_rows(p)(i0, i1) ** (1.0 / p)
 
 
 def vector_p_variation(xs: np.ndarray, p: float) -> float:
@@ -308,10 +336,12 @@ class Control:
 def control_from_pvar(path: SampledGroupPath, p: float) -> Control:
     """w(s,t) = |g|_{p-var,[s,t]}^p; superadditive by construction.
 
-    The DP rows are kept: certificates and removal schedules query the same
-    windows repeatedly.  Building the control computes nothing.
+    The control reads the path's one DP row store for p, so controls summed
+    over one path and p compute each row once; certificates and removal
+    schedules query the same windows repeatedly.  Building the control
+    computes nothing.
     """
-    return Control(path.times, _PVarRows(path.increment_norms, p))
+    return Control(path.times, path.pvar_rows(p))
 
 
 def uniform_control(times) -> Control:

@@ -8,6 +8,7 @@ are omitted, so equal objects serialize byte-identically.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,38 +75,79 @@ def parse_index(kind: str, text: str) -> GradedIndex:
     return GradedIndex(kind, trees.forest_size(forest), forest)
 
 
-def _coeffs_to_obj(t: GradedTensor) -> list:
-    """Nonzero coefficients in canonical index order."""
-    system = t.system
+def _coeffs_to_obj(system, rows: list, i: int) -> list:
+    """Nonzero coefficients of row i of the stacked levels ``rows``, in canonical
+    index order (degree, then basis position)."""
     coeffs = []
     for k in range(system.n + 1):
-        for idx in system.indices(k):
-            val = t.levels[k][system.index_position(idx)]
-            if val != 0.0:
-                coeffs.append({"index": str(idx), "value": float(val)})
+        row = rows[k][i]
+        names = _index_names(system, k)
+        nonzero = np.flatnonzero(row)
+        for pos, val in zip(nonzero.tolist(), row[nonzero].tolist()):
+            coeffs.append({"index": names[pos], "value": val})
     return coeffs
 
 
-def _coeffs_from_obj(system, rows) -> GradedTensor:
-    t = system.zero()
+@lru_cache(maxsize=None)
+def _index_names(system, k: int) -> list:
+    """The index strings of degree k, in basis-position order."""
+    names = [None] * system.dim(k)
+    for idx in system.indices(k):
+        names[system.index_position(idx)] = str(idx)
+    return names
+
+
+@lru_cache(maxsize=None)
+def _parsed_index(kind: str, text: str) -> GradedIndex:
+    """``parse_index``, once per distinct string; a string that fails to parse is not kept."""
+    return parse_index(kind, text)
+
+
+@lru_cache(maxsize=None)
+def _basis_slot(system, idx: GradedIndex) -> tuple:
+    """``(degree, position)`` of a parsed index; an index outside the basis is refused."""
+    if idx.degree > system.n or (
+        idx.kind == "nilpotent" and not all(1 <= a <= system.d for a in idx.payload)
+    ):
+        raise ValueError(
+            f"index {str(idx)!r} is not in the {system.kind} basis with d={system.d}, n={system.n}"
+        )
+    return idx.degree, system.index_position(idx)
+
+
+def _coeffs_from_obj(system, rows, levels: list, i: int):
+    """Fill row i of the stacked ``levels`` from coefficient rows.
+
+    Errors come in the order index syntax, value, basis position.
+    """
     for row in rows:
-        idx = parse_index(system.kind, row["index"])
+        text = row["index"]
+        if not isinstance(text, str):
+            raise ValueError(f"index {text!r} is not a string")
+        idx = _parsed_index(system.kind, text)
         value = float(row["value"])
         if not np.isfinite(value):
-            raise ValueError(f"non-finite coefficient {row['value']!r} at {row['index']}")
-        t.levels[idx.degree][system.index_position(idx)] = value
-    return t
+            raise ValueError(f"non-finite coefficient {row['value']!r} at {text}")
+        degree, pos = _basis_slot(system, idx)
+        levels[degree][i, pos] = value
+
+
+def _zero_levels(system, N: int) -> list:
+    return [np.zeros((N, system.dim(k))) for k in range(system.n + 1)]
 
 
 def tensor_to_obj(t: GradedTensor) -> dict:
     system = t.system
-    return {"system": system.kind, "d": system.d, "n": system.n, "coeffs": _coeffs_to_obj(t)}
+    rows = [l[None] for l in t.levels]
+    return {"system": system.kind, "d": system.d, "n": system.n, "coeffs": _coeffs_to_obj(system, rows, 0)}
 
 
 def tensor_from_obj(obj: dict) -> GradedTensor:
     try:
         system = tensor_system(obj["system"], int(obj["d"]), int(obj["n"]))
-        return _coeffs_from_obj(system, obj["coeffs"])
+        levels = _zero_levels(system, 1)
+        _coeffs_from_obj(system, obj["coeffs"], levels, 0)
+        return GradedTensor(system, [l[0] for l in levels])
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad tensor object: {exc}") from exc
 
@@ -117,20 +159,23 @@ def path_to_obj(path: SampledGroupPath) -> dict:
         "d": system.d,
         "n": system.n,
         "times": [float(t) for t in path.times],
-        "values": [_coeffs_to_obj(v) for v in path.values],
+        "values": [_coeffs_to_obj(system, path.levels, i) for i in range(len(path))],
     }
 
 
 def path_from_obj(obj: dict) -> SampledGroupPath:
     try:
         system = tensor_system(obj["system"], int(obj["d"]), int(obj["n"]))
-        values = [_coeffs_from_obj(system, coeffs) for coeffs in obj["values"]]
+        values = list(obj["values"])
+        levels = _zero_levels(system, len(values))
+        for i, coeffs in enumerate(values):
+            _coeffs_from_obj(system, coeffs, levels, i)
         times = [float(x) for x in obj["times"]]
         if not np.all(np.isfinite(times)):
             raise ValueError("non-finite time")
         if not values:
             raise ValueError("a path needs at least one point")
-        path = SampledGroupPath(system, times, values)
+        path = SampledGroupPath(system, times, levels)
         if not has_unit_scalar(path.levels):
             raise ValueError("path values need degree-0 coefficient 1")
         return path

@@ -75,12 +75,14 @@ def _parse_tree(text: str, pos: int) -> tuple[Tree, int]:
     label = int(text[pos:end])
     if end < len(text) and text[end] == "[":
         children, pos = [], end + 1
-        while text[pos] != "]":
+        while pos < len(text) and text[pos] != "]":
             if text[pos] == ",":
                 pos += 1
                 continue
             c, pos = _parse_tree(text, pos)
             children.append(c)
+        if pos == len(text):
+            raise ValueError(f"unclosed '[' in {text!r}")
         return tree(label, children), pos + 1
     return tree(label), end
 

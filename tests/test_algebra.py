@@ -279,3 +279,56 @@ def test_forest_mul_levels_batched_is_exact(shape_a, shape_b, rng):
         single = s.mul(s.from_levels(row_a), s.from_levels(row_b))  # one 1-D product
         for k in range(5):
             assert np.array_equal(batched[k][pos], single.levels[k])
+
+
+def _series_exp(system, v):
+    """The truncated exponential series on tensors, one term at a time (reference)."""
+    out, term = system.unit(), system.unit()
+    for k in range(1, system.n + 1):
+        term = (1.0 / k) * system.mul(term, v)
+        out = out + term
+    return out
+
+
+def _series_log(system, a):
+    """The truncated logarithm series on tensors, one term at a time (reference)."""
+    u, out, term = a - system.unit(), system.zero(), system.unit()
+    for k in range(1, system.n + 1):
+        term = system.mul(term, u)
+        out = out + ((-1.0) ** (k + 1) / k) * term
+    return out
+
+
+@pytest.mark.parametrize("kind", ["nilpotent", "butcher"])
+@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+def test_stacked_exp_log_match_each_row(kind, shape, rng):
+    s = tensor_system(kind, 2, 3)
+    rows = []
+    for _ in range(int(np.prod(shape))):
+        v = random_element(s, rng, scale=0.5)
+        v.levels[0][:] = 0.0
+        rows.append(v)
+    v = [np.array([r.levels[k] for r in rows]).reshape(shape + (s.dim(k),)) for k in range(s.n + 1)]
+    exps = s.exp_levels(v)
+    logs = s.log_levels(exps)
+    for i, idx in enumerate(np.ndindex(shape)):
+        one = s.exp(rows[i])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(one.levels, _series_exp(s, rows[i]).levels))
+        assert all(e[idx].tobytes() == o.tobytes() for e, o in zip(exps, one.levels))
+        back = s.log(one)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(back.levels, _series_log(s, one).levels))
+        assert all(l[idx].tobytes() == b.tobytes() for l, b in zip(logs, back.levels))
+    assert all(e.shape == shape + (s.dim(k),) for k, e in enumerate(exps))
+
+
+def test_stacked_exp_log_refuse_any_bad_row():
+    s = tensor_system("nilpotent", 2, 2)
+    v = [np.zeros((4, s.dim(k))) for k in range(3)]
+    v[0][2, 0] = 0.5
+    with pytest.raises(ValueError, match="degree-0 coefficient 0"):
+        s.exp_levels(v)
+    a = [np.zeros((4, s.dim(k))) for k in range(3)]
+    a[0][:, 0] = 1.0
+    a[0][3, 0] = 2.0
+    with pytest.raises(ValueError, match="degree-0 coefficient 1"):
+        s.log_levels(a)

@@ -379,6 +379,12 @@ HUGE_FORM = '{"d": 1, "target_dim": 1, "degree": 1, "derivatives": [[[1e308]], [
 PLANE_FUNCTION = '{"in_dim": 2, "out_dim": 1, "degree": 1, "gamma": 3.0, "derivatives": [[0.1], [[0.5, 0.2]]]}'
 
 
+def bad_index_path(system, index):
+    """A two-point d = 2, level-2 path JSON whose second value has one more coefficient."""
+    return (f'{{"system": "{system}", "d": 2, "n": 2, "times": [0, 1], "values": '
+            f'[[{{"index": "()", "value": 1}}], [{{"index": "()", "value": 1}}, {{"index": {index}, "value": 0.5}}]]}}')
+
+
 def form_args(argv, tmp_path, **forms):
     """Write the named form texts to files and substitute their paths."""
     files = {}
@@ -405,10 +411,17 @@ def form_args(argv, tmp_path, **forms):
         (["extend", "--depth", "2", "--to-level", "1"], "t,x1\n0,0\n1,1\n2,0\n"),
         (["compose", "--p", "2", "--form", str(GOLDEN_DIR / "form2.json"), "--f", "{plane}"],
          "t,x1,x2\n0,0,0\n1,1,0\n2,0,1\n"),
+        (["pvar", "--p", "2"], bad_index_path("nilpotent", '"3"')),
+        (["pvar", "--p", "2"], bad_index_path("nilpotent", '"0"')),
+        (["pvar", "--p", "2"], bad_index_path("nilpotent", '"1.1.1"')),
+        (["pvar", "--p", "2"], bad_index_path("butcher", '"1[1[1]]"')),
+        (["pvar", "--p", "2"], bad_index_path("butcher", '"1[1"')),
+        (["pvar", "--p", "2"], bad_index_path("nilpotent", "1")),
     ],
     ids=["nan-time", "inf-coordinate", "json-nan-time", "json-inf-coefficient",
          "depth-0", "p-below-1", "nan-form", "asymmetric-form", "theta-nan",
-         "to-level-below-depth", "compose-function-dimension"],
+         "to-level-below-depth", "compose-function-dimension",
+         "letter-above-d", "letter-0", "word-above-n", "tree-above-n", "unclosed-tree", "index-not-text"],
 )
 def test_bad_input_exit_2(argv, text, capsys, tmp_path):
     argv = form_args(argv, tmp_path, nan=NAN_FORM, asymmetric=ASYMMETRIC_FORM, plane=PLANE_FUNCTION)
@@ -544,3 +557,49 @@ def test_cli_contract_on_hostile_paths(data, tmp_path, capsys):
             json.loads(out)
         else:
             assert out == "" and json.loads(err)["exit"] == code, (command, err)
+
+
+@pytest.mark.parametrize(
+    "system, index, message",
+    [
+        ("nilpotent", "a", "invalid literal for int() with base 10: 'a'"),
+        ("nilpotent", "1..2", "invalid literal for int() with base 10: ''"),
+        ("butcher", "3", "((3, ()),)"),
+        ("butcher", "[1]", "expected a label at position 0 in '[1]'"),
+    ],
+)
+def test_bad_index_messages_kept(system, index, message, capsys):
+    code, out, err = run_cli(["pvar", "--p", "2"], stdin_text=bad_index_path(system, json.dumps(index)), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == f"bad path object: {message}"
+
+
+def test_iterate_grows_each_pvar_row_once(capsys, monkeypatch):
+    # the three controls summed by iterate share one DP row store over the base path
+    from cocycle import paths
+
+    stores = []
+
+    class Counting(paths._PVarRows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stores.append(self)
+
+    monkeypatch.setattr(paths, "_PVarRows", Counting)
+    code, out, err = run_cli(golden_argv("iterate_walk"), capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "iterate_walk.json").read_text()
+    shared = list(stores)
+    del stores[:]
+    # the reference: one fresh store per control, as each control once had
+    monkeypatch.setattr(paths.SampledGroupPath, "pvar_rows", lambda self, p: Counting(self.increment_norms, p))
+    code, fresh_out, err = run_cli(golden_argv("iterate_walk"), capsys=capsys)
+    assert (code, fresh_out) == (0, out)
+    cells = [sum(len(r) - 1 for r in s.rows.values()) for s in shared]
+    fresh_cells = [sum(len(r) - 1 for r in s.rows.values()) for s in stores]
+    assert len(shared) == 1 and len(stores) == 3
+    assert cells[0] > 0 and fresh_cells == cells * 3
+    for store in stores:
+        assert store.rows.keys() == shared[0].rows.keys()
+        for i, row in store.rows.items():
+            assert [x.hex() for x in row.tolist()] == [x.hex() for x in shared[0].rows[i].tolist()]

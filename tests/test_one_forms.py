@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -701,3 +703,67 @@ def test_polynomial_lift_is_signature_of_integral_path(rng):
     extrap = 2.0 * c2 - c1
     tol = 4.0 * float(np.abs(c2 - c1).max()) + 1e-12
     assert np.abs(val.levels[2].reshape(2, 2) - extrap).max() <= 1e-9 + tol
+
+
+def _tensordot_deriv(arrays, n_out, l, x):
+    """The Taylor sum of one point, one ``np.tensordot`` per contraction (reference)."""
+    in_dim = x.shape[0]
+    if l >= len(arrays):
+        return np.zeros(arrays[0].shape + (in_dim,) * l)
+    out = np.zeros_like(arrays[l])
+    fact = 1.0
+    for j in range(len(arrays) - l):
+        term = arrays[l + j]
+        for _ in range(j):
+            term = np.tensordot(term, x, axes=([n_out + l], [0]))
+        out = out + term / fact
+        fact *= j + 1
+    return out
+
+
+def _symmetric(rng, shape, l):
+    """A random array whose last l axes are symmetric."""
+    a = rng.normal(size=shape)
+    lead = len(shape) - l
+    out = np.zeros_like(a)
+    perms = list(itertools.permutations(range(l)))
+    for perm in perms:
+        out = out + a.transpose(tuple(range(lead)) + tuple(lead + i for i in perm))
+    return out / len(perms)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("out_shape", [(2, 3), (1,)])
+def test_deriv_rows_match_per_point_derivatives(degree, out_shape, rng):
+    d = 3
+    arrays = [_symmetric(rng, out_shape + (d,) * l, l) for l in range(degree + 1)]
+    arrays[-1][np.abs(arrays[-1]) < 0.3] = 0.0  # zero coefficients; the pattern stays symmetric
+    f = LipFunction.from_polynomial(arrays, in_dim=d)
+    X = rng.normal(size=(17, d)) * 3.0
+    X[0] = 0.0
+    for l in range(degree + 2):  # order degree + 1 is all zeros
+        rows = f.deriv_rows(l, X)
+        assert rows.shape == (17,) + out_shape + (d,) * l
+        for i, x in enumerate(X):
+            one = f.deriv(l, x)
+            assert rows[i].tobytes() == one.tobytes()
+            assert one.tobytes() == _tensordot_deriv(arrays, len(out_shape), l, x).tobytes()
+        if l > degree:
+            assert not rows.any()
+
+
+def test_deriv_rows_call_a_custom_function_once_per_row(rng):
+    calls = []
+
+    def deriv_fn(l, x):
+        calls.append(x.copy())
+        return np.full((1, 2) + (2,) * l, x.sum())
+
+    f = LipFunction(2.0, 2, (1, 2), deriv_fn)
+    X = rng.normal(size=(5, 2))
+    rows = f.deriv_rows(1, X)
+    assert len(calls) == 5 and all(np.array_equal(c, x) for c, x in zip(calls, X))
+    assert all(np.all(r == x.sum()) for r, x in zip(rows, X))
+    bad = LipFunction(2.0, 2, (1, 2), lambda l, x: np.zeros(3))
+    with pytest.raises(ValueError, match="derivative 0 has shape"):
+        bad.deriv_rows(0, X)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,73 @@ def test_one_form_layout_pinned_in_two_dimensions():
     form = RoughOneForm(f, g, p=2.0)
     res = sew(form, g, control_from_pvar(g, 2.0), theta=form.theta, check=False)
     assert abs(res.values[-1][0] - val[0]) <= 1e-4 + 4 * tol
+
+
+# -- the per-point loops the vectorised oracles are pinned against ---------------
+
+
+def _refine_loop(points, times, mesh):
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    times = np.asarray(times, dtype=float)
+    nseg = pts.shape[0] - 1
+    sub = max(1, int(np.ceil(mesh / nseg)))
+    ts, xs = [times[0]], [pts[0]]
+    for k in range(nseg):
+        for i in range(1, sub + 1):
+            frac = i / sub
+            ts.append(times[k] + frac * (times[k + 1] - times[k]))
+            xs.append(pts[k] + frac * (pts[k + 1] - pts[k]))
+    return np.array(ts), np.stack(xs)
+
+
+def _riemann_loop(deriv_arrays, points, mesh, times):
+    pts = np.asarray(points, dtype=float)
+    m = deriv_arrays[0].shape[0]
+
+    def value_at(x):
+        out = np.zeros((m, pts.shape[1]))
+        for l, arr in enumerate(deriv_arrays):
+            term = arr
+            for _ in range(l):
+                term = np.tensordot(term, x, axes=([term.ndim - 1], [0]))
+            out += term / math.factorial(l)
+        return out
+
+    vals = []
+    for mm in (mesh, 2 * mesh):
+        _, xs = _refine_loop(pts, times, mm)
+        acc = np.zeros(m)
+        for i in range(xs.shape[0] - 1):
+            acc = acc + value_at(xs[i]) @ (xs[i + 1] - xs[i])
+        vals.append(acc)
+    return 2.0 * vals[1] - vals[0], 4.0 * float(np.abs(vals[1] - vals[0]).max()) + 1e-15
+
+
+@pytest.mark.parametrize("N, mesh", [(2, 64), (9, 100), (200, 256), (200, 4 * 199)])
+def test_vectorised_oracles_equal_the_per_point_loops(N, mesh):
+    rng = np.random.default_rng(N)
+    pts = rng.normal(size=(N, 2)).cumsum(axis=0) / np.sqrt(N)
+    times = np.sort(rng.uniform(0.0, 3.0, N))
+    for got, want in zip(oracles._refine(pts, times, mesh), _refine_loop(pts, times, mesh)):
+        assert got.tobytes() == want.tobytes()
+    arrays = [rng.normal(size=(2, 2)), rng.normal(size=(2, 2, 2)), rng.normal(size=(2, 2, 2, 2))]
+    arrays[2][arrays[2] > 0.8] = 0.0
+    value, tol = oracles.riemann_one_form_integral(arrays, pts, mesh=mesh, times=times)
+    ref_value, ref_tol = _riemann_loop(arrays, pts, mesh, times)
+    assert value.tobytes() == ref_value.tobytes()
+    assert tol.hex() == ref_tol.hex()
+
+
+def test_oracles_import_nothing_from_the_library():
+    # the references must stay independent of the kernels they check
+    import ast
+    import pathlib
+
+    source = pathlib.Path(oracles.__file__).read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("cocycle"), ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "cocycle" for a in node.names), ast.dump(node)

@@ -308,3 +308,44 @@ def test_control_sum_keeps_operand_order(rng):
 def test_two_point_control_has_no_triples():
     path = signature_piecewise_linear(np.array([[0.0], [1.0]]), 2)
     assert control_from_pvar(path, 2.0).superadditivity_residual() == 0.0
+
+
+def _chen_reference(pts, n):
+    """Running signature by one segment exponential and one Chen product per segment."""
+    system = tensor_system("nilpotent", pts.shape[1], n)
+    g, values = system.unit(), [system.unit()]
+    for k in range(pts.shape[0] - 1):
+        g = system.mul(g, signature_of_segment(pts[k + 1] - pts[k], n))
+        values.append(g)
+    return values
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_signature_matches_per_segment_chen_products(n, rng):
+    pts = rng.normal(size=(40, 2)).cumsum(axis=0) * 0.3
+    pts[7] = pts[6]  # a zero segment
+    path = signature_piecewise_linear(pts, n)
+    ref = _chen_reference(pts, n)
+    for k, level in enumerate(path.levels):
+        assert level.tobytes() == np.array([v.levels[k] for v in ref]).tobytes()
+
+
+def test_values_are_read_only_rows_of_the_stacked_levels(rng):
+    path = signature_piecewise_linear(rng.normal(size=(9, 2)), 3)
+    assert len(path.values) == len(path) == 9
+    for i, v in enumerate(path.values):
+        assert all(l.tobytes() == level[i].tobytes() for l, level in zip(v.levels, path.levels))
+        with pytest.raises(ValueError):
+            v.levels[1][0] = 1.0
+    b2 = tensor_system("butcher", 2, 2)
+    forest = path_from_increments(b2, np.arange(5.0), [random_character(b2, rng) for _ in range(4)])
+    for i, v in enumerate(forest.values):
+        assert all(l.tobytes() == level[i].tobytes() for l, level in zip(v.levels, forest.levels))
+
+
+def test_builders_keep_values_as_rows(rng):
+    path = signature_piecewise_linear(rng.normal(size=(9, 2)), 2)
+    for built, rows in ((path.dilate(0.5), [path.system.dilate(v, 0.5) for v in path.values]),
+                        (path.restrict([0, 3, 8]), [path.values[i] for i in (0, 3, 8)])):
+        for k, level in enumerate(built.levels):
+            assert level.tobytes() == np.array([v.levels[k] for v in rows]).tobytes()

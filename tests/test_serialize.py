@@ -149,3 +149,24 @@ def test_non_finite_polynomial_files_rejected(obj):
     read = serialize.one_form_from_obj if "d" in obj else serialize.function_from_obj
     with pytest.raises(serialize.InputError, match="non-finite"):
         read(obj)
+
+
+@pytest.mark.parametrize("kind", ["nilpotent", "butcher"])
+def test_each_index_string_parsed_once(kind, rng, monkeypatch):
+    if kind == "nilpotent":
+        path = signature_piecewise_linear(rng.normal(size=(12, 2)), 3)
+    else:
+        from cocycle.paths import path_from_increments
+
+        b2 = tensor_system("butcher", 2, 2)
+        path = path_from_increments(b2, np.arange(12.0), [random_character(b2, rng) for _ in range(11)])
+    obj = serialize.path_to_obj(path)
+    names = {c["index"] for value in obj["values"] for c in value}
+    calls = []
+    parse = serialize.parse_index
+    monkeypatch.setattr(serialize, "parse_index", lambda *args: calls.append(args[1]) or parse(*args))
+    serialize._parsed_index.cache_clear()
+    back = serialize.path_from_obj(obj)
+    assert sorted(calls) == sorted(names)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(back.levels, path.levels))
+    assert serialize.dumps(serialize.path_to_obj(back)) == serialize.dumps(obj)
