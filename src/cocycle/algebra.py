@@ -18,7 +18,7 @@ are cached per ``(kind, d, n)`` and their tables are read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class GradedTensor:
 
     def norm(self) -> float:
         """ell-1 norm over all coefficients (the admissible norm)."""
-        return float(sum(np.abs(l).sum() for l in self.levels))
+        return float(self.system.norm(self))
 
     def __add__(self, other: "GradedTensor") -> "GradedTensor":
         self.system.require_same(other.system)
@@ -145,10 +145,13 @@ class HopfSystem:
     def zero(self) -> GradedTensor:
         return GradedTensor(self, [np.zeros(self.dim(k)) for k in range(self.n + 1)])
 
-    def unit(self) -> GradedTensor:
+    def unit_levels(self) -> list:
         z = [np.zeros(self.dim(k)) for k in range(self.n + 1)]
         z[0][0] = 1.0
-        return GradedTensor(self, z)
+        return z
+
+    def unit(self) -> GradedTensor:
+        return GradedTensor(self, self.unit_levels())
 
     def from_levels(self, levels) -> GradedTensor:
         return GradedTensor(self, levels)
@@ -188,7 +191,7 @@ class HopfSystem:
         v = [np.asarray(l, dtype=float) for l in v]
         if np.any(np.abs(v[0]) > 1e-12):
             raise ValueError("exp needs degree-0 coefficient 0")
-        term = self.unit().levels
+        term = self.unit_levels()
         out = [np.zeros(v[0].shape[:-1] + u.shape) + u for u in term]
         for k in range(1, self.n + 1):
             term = [(1.0 / k) * l for l in self.mul_levels(term, v)]
@@ -201,7 +204,7 @@ class HopfSystem:
         a = [np.asarray(l, dtype=float) for l in a]
         if np.any(np.abs(a[0] - 1.0) > 1e-9):
             raise ValueError("log needs degree-0 coefficient 1")
-        term = self.unit().levels
+        term = self.unit_levels()
         u = [l - e for l, e in zip(a, term)]
         out = [np.zeros_like(l) for l in u]
         for k in range(1, self.n + 1):
@@ -247,6 +250,11 @@ class HopfSystem:
         return self.from_levels([(c**k) * l for k, l in enumerate(a.levels)])
 
     # -- norms ---------------------------------------------------------------
+    def norm(self, a):
+        """ell-1 norm over all coefficients; ``a`` is a tensor or a level list,
+        leading axes of the levels batch."""
+        return sum(np.abs(l).sum(axis=-1) for l in getattr(a, "levels", a))
+
     def homogeneous_norm(self, a):
         """Sum over graded projections of the degree-rooted coefficient norm.
 
@@ -254,18 +262,31 @@ class HopfSystem:
         """
         raise NotImplementedError
 
-    def sigma_max_norm(self, a: GradedTensor) -> float:
-        """Largest graded-projection norm; the max-over-sigma of the estimates."""
+    def sigma_max_norm(self, a):
+        """Largest graded-projection norm, the max-over-sigma of the estimates;
+        ``a`` is a tensor or a level list, leading axes of the levels batch."""
         raise NotImplementedError
 
     # -- group membership ------------------------------------------------------
-    def grouplike_residual(self, a: GradedTensor) -> float:
-        raise NotImplementedError
+    def grouplike_residual(self, a):
+        """Largest violation of the unit scalar and of the relations
+        ``pi_{k1+k2}`` joint ``= pi_k1(a) x pi_k2(a)`` (shuffle relations of the
+        word system, multiplicativity on forests), row by row.
 
-    def grouplike_check(self, a: GradedTensor, tol: float = 1e-9) -> bool:
-        if abs(a.scalar() - 1.0) > tol:
-            return False
-        return self.grouplike_residual(a) <= tol
+        ``a`` is a tensor or a level list; leading axes of the levels batch.
+        """
+        levels = getattr(a, "levels", a)
+        worst = np.abs(levels[0][..., 0] - 1.0)
+        for k1 in range(1, self.n):
+            for k2 in range(k1, self.n - k1 + 1):
+                joint = self.block_tuple_tensor((k1, k2), levels)
+                direct = levels[k1][..., :, None] * levels[k2][..., None, :]
+                worst = np.maximum(worst, np.abs(joint - direct).max(axis=(-2, -1)))
+        return worst
+
+    def grouplike_check(self, a, tol=1e-9) -> bool:
+        """Whether every row is grouplike to ``tol``, which broadcasts against the rows."""
+        return bool(np.all(self.grouplike_residual(a) <= tol))
 
     # -- joint projections (the linear maps behind sigma_1 * ... * sigma_k) --
     def block_tuple_tensor(self, degrees: tuple[int, ...], a) -> np.ndarray:
@@ -327,20 +348,8 @@ class WordSystem(HopfSystem):
         terms = (np.power(np.abs(levels[k]).sum(axis=-1), 1.0 / k) for k in range(1, self.n + 1))
         return sum(terms, 0.0)
 
-    def sigma_max_norm(self, a: GradedTensor) -> float:
-        return max(float(np.abs(l).sum()) for l in a.levels)
-
-    def grouplike_residual(self, a: GradedTensor) -> float:
-        """Largest violation of the shuffle relations of total degree <= n."""
-        worst = abs(a.scalar() - 1.0)
-        for k1 in range(1, self.n):
-            for k2 in range(k1, self.n - k1 + 1):
-                joint = self.block_tuple_tensor((k1, k2), a)
-                direct = np.multiply.outer(
-                    a.levels[k1].reshape(-1), a.levels[k2].reshape(-1)
-                ).reshape(joint.shape)
-                worst = max(worst, float(np.abs(joint - direct).max()))
-        return worst
+    def sigma_max_norm(self, a):
+        return reduce(np.maximum, (np.abs(l).sum(axis=-1) for l in getattr(a, "levels", a)))
 
     def block_tuple_tensor(self, degrees, a) -> np.ndarray:
         total = sum(degrees)
@@ -434,27 +443,9 @@ class ForestSystem(HopfSystem):
         terms = (np.sum(np.abs(levels[k]) ** (1.0 / k), axis=-1) for k in range(1, self.n + 1))
         return sum(terms, 0.0)
 
-    def sigma_max_norm(self, a: GradedTensor) -> float:
-        worst = abs(a.scalar())
-        for k in range(1, self.n + 1):
-            if a.levels[k].size:
-                worst = max(worst, float(np.abs(a.levels[k]).max()))
-        return worst
-
-    def grouplike_residual(self, a: GradedTensor) -> float:
-        """Largest violation of (sigma1 sigma2)(a) = sigma1(a) sigma2(a)."""
-        worst = abs(a.scalar() - 1.0)
-        for k1 in range(1, self.n):
-            for k2 in range(k1, self.n - k1 + 1):
-                for i1, f1 in enumerate(self._forests[k1]):
-                    for i2, f2 in enumerate(self._forests[k2]):
-                        if k1 == k2 and i2 < i1:
-                            continue
-                        merged = trees.forest_concat(f1, f2)
-                        lhs = a.levels[k1 + k2][self._pos[k1 + k2][merged]]
-                        rhs = a.levels[k1][i1] * a.levels[k2][i2]
-                        worst = max(worst, abs(lhs - rhs))
-        return worst
+    def sigma_max_norm(self, a):
+        levels = getattr(a, "levels", a)
+        return reduce(np.maximum, [np.abs(levels[0][..., 0])] + [np.abs(l).max(axis=-1) for l in levels[1:]])
 
     def block_tuple_tensor(self, degrees, a) -> np.ndarray:
         total = sum(degrees)

@@ -197,9 +197,9 @@ def cmd_extend(args) -> dict:
     path = _load_path(args)
     if args.to_level < path.level:
         raise InputError(f"--to-level {args.to_level} is below the path level {path.level}")
-    for v in path.values:
-        if not path.system.grouplike_check(v, max(args.tol, 1e-12) * max(1.0, v.norm())):
-            raise InputError("input path values fail the grouplike relations")
+    tol = max(args.tol, 1e-12) * np.maximum(1.0, path.system.norm(path.levels))
+    if not path.system.grouplike_check(path.levels, tol):
+        raise InputError("input path values fail the grouplike relations")
     extended, report = extend_to_level(path, args.to_level, args.p, schedule=args.schedule)
     obj = serialize.path_to_obj(extended)
     obj["pvar_ratios"] = [None if r is None else float(r) for r in report.pvar_ratios]

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trees
-from .algebra import ForestSystem, GradedTensor, HopfSystem, stack_levels, tensor_system
+from .algebra import ForestSystem, GradedTensor, HopfSystem, tensor_system
 from .maps import (
     _degree_tuples,
     _double_block_matrices,
@@ -86,7 +86,7 @@ class DominatedPath:
             raise ValueError("dominated paths take values in a flat space")
         h0 = np.zeros(form.target.dim) if h0 is None else np.asarray(h0, dtype=float)
         res = sew(form, base, omega, theta, schedule=schedule, check=check)
-        trace = np.stack([h0 + v for v in res.values])
+        trace = h0 + res.prefixes
         return cls(base, form, h0, trace, omega, theta, p, result=res)
 
     @property
@@ -159,7 +159,7 @@ class DominatedPath:
 def coordinate_coupling(base: SampledGroupPath, omega: Control, theta: float, p: float) -> DominatedPath:
     """The degree-one trace of the base path, as a dominated path: M_1 = identity."""
     dim = base.system.dim(1)
-    form = RecenteredForm(base, dim, lambda s: {1: np.eye(dim)})
+    form = RecenteredForm(base, dim, {1: np.broadcast_to(np.eye(dim), (len(base), dim, dim))})
     trace = base.levels[1].copy()
     res = sew(form, base, omega, theta, check=False)
     return DominatedPath(base, form, trace[0], trace, omega, theta, p, result=res)
@@ -337,32 +337,39 @@ def compose(
 
 @dataclass
 class GroupEnhancement:
-    """Iterated-integral lift of a dominated path into 1 + U + ... + U^{[p]}."""
+    """Iterated-integral lift of a dominated path into 1 + U + ... + U^{[p]}.
+
+    ``path`` is the sewn lift over the source's grid, in the word system over
+    dim(U) at level [p]; ``values`` reads its rows as tensors, for per-row callers.
+    """
 
     source: DominatedPath
-    system: HopfSystem  # word system over dim(U) at level [p]
-    values: list  # GradedTensor per grid time
+    path: SampledGroupPath
     result: SewingResult
     level_matrices: dict  # {level: {degree: (N, dim_level, dim_k)}}, stacked over the grid
-    _path: SampledGroupPath | None = field(default=None, init=False, repr=False)
+
+    @property
+    def system(self) -> HopfSystem:
+        return self.path.system
+
+    @property
+    def values(self) -> list:
+        return self.path.values
 
     def as_sampled_path(self) -> SampledGroupPath:
-        """The values as a sampled path, stacked once."""
-        if self._path is None:
-            self._path = SampledGroupPath(self.system, self.source.base.times, stack_levels(self.system, self.values))
-        return self._path
+        return self.path
 
     def pair_value(self, s: int, t: int) -> GradedTensor:
-        return self.system.mul(self.system.inverse(self.values[s]), self.values[t])
+        return GradedTensor(self.system, self.path.increments(s, t))
 
     def multiplicativity_residual(self, samples: int = 64, seed: int = 0) -> float:
         """Largest coefficient of pair(s,u) pair(u,t) - pair(s,t) over sampled triples, read at once."""
         rng = np.random.default_rng(seed)
-        N = len(self.values)
+        N = len(self.path)
         if N < 3:  # no triples
             return 0.0
         s, u, t = np.array([sorted(rng.choice(N, size=3, replace=False)) for _ in range(samples)]).T
-        path = self.as_sampled_path()
+        path = self.path
         lhs = self.system.mul_levels(path.increments(s, u), path.increments(u, t))
         return max([0.0] + [float(np.abs(a - b).max()) for a, b in zip(lhs, path.increments(s, t))])
 
@@ -438,7 +445,7 @@ def enhance(d: DominatedPath, schedule: str = "ltr") -> GroupEnhancement:
     level_matrices = _ladder(base.system, d.base_matrices(range(1, hp + 1)), hp)
     form = RecenteredForm(base, AlgebraTarget(enh_system), readout=_ladder_readout(enh_system, level_matrices))
     res = sew(form, base, d.omega, d.theta, schedule=schedule, check=False)
-    return GroupEnhancement(d, enh_system, res.values, res, level_matrices)
+    return GroupEnhancement(d, SampledGroupPath(enh_system, base.times, res.prefixes), res, level_matrices)
 
 
 def rebase(
@@ -502,31 +509,28 @@ class ControlledPath:
     base: SampledGroupPath  # at level [p]
     low: SampledGroupPath  # the same path truncated to level [p]-1
     trace: np.ndarray
-    coeff_fn: object  # s -> {degree: (dim_U, dim_k) matrix}
+    coefficients: dict  # {degree: (N, dim_U, dim_k)}, stacked over the grid
     omega: Control
     theta: float
     p: float
     form: RecenteredForm = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.form = RecenteredForm(self.low, self.trace.shape[1], self.coeff_fn)
+        self.form = RecenteredForm(self.low, self.trace.shape[1], self.coefficients)
 
     @classmethod
-    def from_coefficients(cls, base, trace, coeff_fn, omega, theta, p) -> "ControlledPath":
+    def from_coefficients(cls, base, trace, coefficients, omega, theta, p) -> "ControlledPath":
         hp = int(math.floor(p))
         if base.level != hp:
             raise ValueError("controlled paths expect the base at level [p]")
         lowsys = tensor_system(base.system.kind, base.d, hp - 1)
         low = SampledGroupPath(lowsys, base.times, base.levels[:hp])
-        return cls(base, low, np.asarray(trace, dtype=float), coeff_fn, omega, theta, p)
+        return cls(base, low, np.asarray(trace, dtype=float), coefficients, omega, theta, p)
 
     @classmethod
     def from_dominated(cls, d: DominatedPath) -> "ControlledPath":
         hp = int(math.floor(d.p))
-        mats = d.base_matrices(range(1, hp))
-        return cls.from_coefficients(
-            d.base, d.trace, lambda s: {k: M[s] for k, M in mats.items()}, d.omega, d.theta, d.p
-        )
+        return cls.from_coefficients(d.base, d.trace, d.base_matrices(range(1, hp)), d.omega, d.theta, d.p)
 
     @property
     def dim(self) -> int:
@@ -541,10 +545,7 @@ class ControlledPath:
         own = {k: form.probe_matrix(low, times, times, k) for k in degrees}
         worst_remainder = 0.0
         worst_var = 0.0
-        sup_norm = 0.0
-        for s in range(N):
-            mats = form.matrices(s)
-            sup_norm = max(sup_norm, max(float(np.abs(M).sum(axis=0).max()) for M in mats.values()))
+        sup_norm = max([0.0] + [float(np.abs(M).sum(axis=-2).max(initial=0.0)) for M in form.stacked.values()])
         for s in range(N - 1):
             later = times[s + 1 :]
             ones = form.eval_rows(low, s, s, low.increments(s, later))

@@ -7,7 +7,8 @@ threshold.  With ``lift=True`` every one-step increment is first completed to
 a group element (word system: exp of log one level up; forest system: the
 multiplicative character extension with vanishing new-tree coefficients), so
 extended values stay in the group and signatures are reproduced exactly on
-their own sample grid.
+their own sample grid.  The increments are lifted all at once, as stacked
+levels, and the sewn prefixes are the new path's levels.
 """
 
 from __future__ import annotations
@@ -17,48 +18,56 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trees
-from .algebra import ForestSystem, GradedTensor, WordSystem, stack_levels, tensor_system
+from .algebra import ForestSystem, GradedTensor, HopfSystem, WordSystem, tensor_system
 from .one_forms import AlgebraTarget, CertificateError, LevelRaisingForm
 from .paths import Control, SampledGroupPath, control_from_pvar, p_variation
 from .sewing import sew_generic
 
 
-def lift_into_group(a: GradedTensor, tol: float = 1e-8) -> GradedTensor:
-    """Complete a grouplike element one level up, fixing all lower levels.
+def lift_into_group(system: HopfSystem, a, tol: float = 1e-8):
+    """Complete grouplike elements one level up, fixing all lower levels.
 
-    Word system: exponentiate the logarithm at the higher truncation.  Forest
-    system: extend the character multiplicatively (new-degree forests get the
-    product of their tree values; genuinely new trees get zero).  The
-    grouplike test is relative: ``tol * max(1, |a|)``.
+    ``a`` is a tensor, or a level list whose leading axes batch (one row per
+    step); the result is of the same kind, one level up.  Word system:
+    exponentiate the logarithm at the higher truncation.  Forest system:
+    extend the character multiplicatively (new-degree forests get the product
+    of their tree values; genuinely new trees get zero).  The grouplike test
+    is relative, row by row: ``tol * max(1, |a|)``.
     """
-    system = a.system
-    if not system.grouplike_check(a, tol * max(1.0, a.norm())):
-        raise ValueError("lift needs a grouplike input")
-    upper = tensor_system(system.kind, system.d, system.n + 1)
+    levels = [np.array(l, dtype=float) for l in getattr(a, "levels", a)]
+    residual = np.ravel(system.grouplike_residual(levels))
+    bound = np.ravel(tol * np.maximum(1.0, system.norm(levels)))
+    bad = np.flatnonzero(~(residual <= bound))
+    if bad.size:
+        i = bad[0]
+        raise CertificateError(
+            f"lift needs a grouplike input: step {i} has grouplike residual {residual[i]:.3e} "
+            f"above the tolerance {bound[i]:.3e}"
+        )
+    n1 = system.n + 1
+    upper = tensor_system(system.kind, system.d, n1)
+    top = np.zeros(levels[0].shape[:-1] + (upper.dim(n1),))
     if isinstance(system, WordSystem):
-        logs = system.log(a)
-        return upper.exp(system.embed(logs, system.n + 1))
-    if isinstance(system, ForestSystem):
-        out = upper.zero()
-        for k in range(system.n + 1):
-            out.levels[k][:] = a.levels[k]
-        n1 = system.n + 1
+        out = upper.exp_levels(system.log_levels(levels) + [top])
+    elif isinstance(system, ForestSystem):
         for pos, forest in enumerate(upper._forests[n1]):
             if len(forest) < 2:
                 continue  # a new tree: coefficient stays zero
-            val = 1.0
+            col = 1.0
             for t in forest:
                 sz = trees.tree_size(t)
-                val *= a.levels[sz][system.forest_position(sz, (t,))]
-            out.levels[n1][pos] = val
-        return out
-    raise TypeError(f"unsupported system {system!r}")
+                col = col * levels[sz][..., system.forest_position(sz, (t,))]
+            top[..., pos] = col
+        out = levels + [top]
+    else:
+        raise TypeError(f"unsupported system {system!r}")
+    return upper.from_levels(out) if isinstance(a, GradedTensor) else out
 
 
 def lift_norm_ratio(a: GradedTensor) -> float:
     """Homogeneous-norm growth of the one-level completion (empirical C_n)."""
     system = a.system
-    lifted = lift_into_group(a)
+    lifted = lift_into_group(system, a)
     base = system.homogeneous_norm(a)
     if base == 0.0:
         return 1.0
@@ -101,7 +110,7 @@ def extend_one_level(
 
     if lift:
         def one_steps(i, j):
-            return [lift_into_group(path.increment(a, b)) for a, b in zip(i.tolist(), j.tolist())]
+            return lift_into_group(path.system, path.increments(i, j))
     else:
         form = LevelRaisingForm(path)
 
@@ -111,7 +120,7 @@ def extend_one_level(
     prefixes, _total, _removals, _bound = sew_generic(
         one_steps, len(path), AlgebraTarget(upper), omega, theta, schedule
     )
-    return SampledGroupPath(upper, path.times, stack_levels(upper, prefixes))
+    return SampledGroupPath(upper, path.times, prefixes)
 
 
 def extend_to_level(

@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from . import trees
-from .algebra import ForestSystem, GradedTensor, HopfSystem, WordSystem, tensor_system
-from .paths import CHEN_CHUNK, Control, SampledGroupPath, grid_triples
+from .algebra import ForestSystem, GradedTensor, HopfSystem, WordSystem, stack_levels, tensor_system
+from .paths import CHEN_CHUNK, Control, SampledGroupPath, _running_products, grid_triples
 from .shuffles import apply_inverse, ordered_shuffles
 
 
@@ -37,6 +37,9 @@ class CertificateError(ValueError):
 
 
 # -- targets -------------------------------------------------------------------
+# Rows stack values over leading axes: ``(..., dim)`` arrays, or level lists
+# ``[(..., dim_k)]`` (or tensors) of an algebra.  ``value`` reads one row as a
+# value; ``prefixes`` stacks the running products 1, b_0, b_0 b_1, ... of rows.
 
 
 class FlatTarget:
@@ -58,18 +61,23 @@ class FlatTarget:
     def sub(self, x, y):
         return x - y
 
-    def norm(self, x) -> float:
-        return float(np.abs(x).sum())
+    def sigma_max_norms(self, rows) -> np.ndarray:
+        """The sigma-max norm of each row, each summed over one contiguous row."""
+        return np.abs(rows).sum(axis=-1)
 
-    def sigma_max_norm(self, x) -> float:
-        return float(np.abs(x).sum())
+    norm = sigma_max_norms  # one degree: the ell-1 norm
+
+    def value(self, row):
+        return row
+
+    def take(self, rows, i):
+        return rows[i]
 
     def rows(self, values, shape) -> np.ndarray:
         return np.array(values, dtype=float).reshape(shape + (self.dim,))
 
-    def sigma_max_norms(self, rows) -> np.ndarray:
-        """``sigma_max_norm`` of each row, each summed over one contiguous row."""
-        return np.abs(rows).sum(axis=-1)
+    def prefixes(self, rows) -> np.ndarray:
+        return np.cumsum(np.concatenate([self.unit()[None], rows]), axis=0)
 
     def is_member(self, x, tol=1e-9) -> bool:
         return np.all(np.isfinite(x))
@@ -83,35 +91,34 @@ class AlgebraTarget:
         self.kind = "algebra"
 
     def unit(self):
-        return self.system.unit()
+        return self.system.unit_levels()
 
     def mul(self, x, y):
-        return self.system.mul(x, y)
+        return self.system.mul_levels(getattr(x, "levels", x), getattr(y, "levels", y))
 
     def inverse(self, x):
-        return self.system.inverse(x)
+        return self.system.inverse_levels(getattr(x, "levels", x))
 
     def sub(self, x, y):
-        return x - y
+        return [a - b for a, b in zip(getattr(x, "levels", x), getattr(y, "levels", y))]
 
-    def norm(self, x) -> float:
-        return x.norm()
-
-    def sigma_max_norm(self, x) -> float:
-        return self.system.sigma_max_norm(x)
-
-    def rows(self, values, shape) -> np.ndarray:
-        out = np.empty(len(values), dtype=object)
-        out[:] = values
-        return out.reshape(shape)
+    def norm(self, x):
+        return self.system.norm(x)
 
     def sigma_max_norms(self, rows) -> np.ndarray:
-        return np.array([self.system.sigma_max_norm(x) for x in rows.flat]).reshape(rows.shape)
+        return self.system.sigma_max_norm(rows)
 
-    def level_rows(self, levels) -> np.ndarray:
-        """Object array of the values whose stacked levels are ``levels``."""
-        shape = levels[0].shape[:-1]
-        return self.rows([GradedTensor(self.system, [l[i] for l in levels]) for i in np.ndindex(shape)], shape)
+    def value(self, row) -> GradedTensor:
+        return GradedTensor(self.system, row)
+
+    def take(self, rows, i) -> list:
+        return [l[i] for l in rows]
+
+    def rows(self, values, shape) -> list:
+        return [l.reshape(shape + l.shape[1:]) for l in stack_levels(self.system, values)]
+
+    def prefixes(self, rows) -> list:
+        return _running_products(self.system, rows)
 
     def is_member(self, x, tol=1e-9) -> bool:
         return abs(x.scalar() - 1.0) <= tol
@@ -281,9 +288,8 @@ class TimeVaryingOneForm:
         """beta_s(g_a, v) row by row.
 
         ``s`` and ``a`` index the grid of ``path`` and ``v`` is a list of
-        stacked direction levels; their leading axes broadcast.  Flat targets
-        give an array ``(..., dim)``, algebra targets an object array of
-        values.  This default calls :meth:`eval` once per row.
+        stacked direction levels; their leading axes broadcast.  The result
+        is the target's rows.  This default calls :meth:`eval` once per row.
         """
         shape = np.broadcast_shapes(np.shape(s), np.shape(a), v[0].shape[:-1])
         s, a = np.broadcast_to(s, shape), np.broadcast_to(a, shape)
@@ -308,16 +314,16 @@ class TimeVaryingOneForm:
 
     def linearity_residual(self, s: int, a: GradedTensor, v1, v2, c1=0.7, c2=-1.3) -> float:
         lhs = self.eval(s, a, c1 * v1 + c2 * v2)
-        combo = self.target.sub(lhs, _scale(self.eval(s, a, v1), c1))
-        combo = self.target.sub(combo, _scale(self.eval(s, a, v2), c2))
-        return self.target.norm(combo)
+        combo = self.target.sub(lhs, c1 * self.eval(s, a, v1))
+        combo = self.target.sub(combo, c2 * self.eval(s, a, v2))
+        return float(self.target.norm(combo))
 
     def cocycle_residual(self, s: int, a: GradedTensor, b: GradedTensor, c: GradedTensor) -> float:
         """|beta(a,b) beta(ab,c) - beta(a,bc)| at one time index."""
         dom = self.domain
         lhs = self.target.mul(self.eval(s, a, b), self.eval(s, dom.mul(a, b), c))
         rhs = self.eval(s, a, dom.mul(b, c))
-        return self.target.norm(self.target.sub(lhs, rhs))
+        return float(self.target.norm(self.target.sub(lhs, rhs)))
 
 
 def basis_rows(domain: HopfSystem, k: int) -> list:
@@ -329,12 +335,6 @@ def basis_rows(domain: HopfSystem, k: int) -> list:
 def column_norms(M: np.ndarray) -> np.ndarray:
     """ell-1 norm of each column of the last two axes, each summed as ``FlatTarget.norm`` sums a vector."""
     return np.abs(np.ascontiguousarray(np.swapaxes(M, -1, -2))).sum(axis=-1)
-
-
-def _scale(x, c):
-    if isinstance(x, GradedTensor):
-        return c * x
-    return c * np.asarray(x)
 
 
 class CallableForm(TimeVaryingOneForm):
@@ -373,7 +373,7 @@ def constant_form_from_alpha(times, domain: HopfSystem, target, alpha, probes=No
     else:
 
         def fn(s, a, v):
-            return target.mul(target.inverse(alpha(a)), alpha(domain.mul(a, v)))
+            return target.value(target.mul(target.inverse(alpha(a)), alpha(domain.mul(a, v))))
 
     return CallableForm(times, domain, target, fn)
 
@@ -460,7 +460,7 @@ class PolynomialCocyclicForm(TimeVaryingOneForm):
         d = self.domain.d
         m = self.f.out_shape[0]
         derivs = self._deriv_at(np.asarray(a.levels[1]))
-        out = v.scalar() * self.target.unit()
+        out = v.scalar() * self.target.system.unit()
         for k, ls in self._tuples:
             total = sum(ls) + k
             block = np.zeros(d**total)
@@ -479,7 +479,7 @@ class PolynomialCocyclicForm(TimeVaryingOneForm):
 
 def polynomial_trace_increment(f: LipFunction, path: SampledGroupPath, s: int, t: int) -> np.ndarray:
     """Closed-form increment sum_l (D^l p)(x_s) applied to the signature blocks."""
-    x = path.level_one(s)
+    x = path.levels[1][s]
     inc = path.increment(s, t)
     m = f.out_shape[0]
     out = np.zeros(m)
@@ -499,11 +499,9 @@ class RecenteredForm(TimeVaryingOneForm):
     levels ``c``, whose leading axes broadcast with ``s``, and returns the
     rows: an array ``(..., dim)`` into R^dim, or, into an algebra target, the
     level list of R_s(c), to which the form adds ``v_0 1``.  Without a
-    readout the form is the matrix form ``sum_k M_k(s) pi_k(c)``:
-    ``matrices(s)`` returns the per-time maps ``{k: M_k(s)}``, each of shape
-    ``(dim, dim_k)``; they are built for every grid index on first use and
-    kept stacked, as ``stacked[k]`` of shape ``(N, dim, dim_k)``; a form
-    that builds all times at once overrides ``stacked``.
+    readout the form is the matrix form ``sum_k M_k(s) pi_k(c)`` of the
+    stacked tables ``stacked = matrices``, ``{k: (N, dim, dim_k)}`` over the
+    grid; a form that builds its tables on first use overrides ``stacked``.
     ``target`` is the flat dimension or a target.  ``summands``, when set,
     are forms whose sum is this one.
     """
@@ -513,17 +511,10 @@ class RecenteredForm(TimeVaryingOneForm):
     def __init__(self, path: SampledGroupPath, target, matrices=None, readout=None):
         super().__init__(path.times, path.system, FlatTarget(target) if isinstance(target, int) else target)
         self.base_path = path
-        self._build = matrices
+        if matrices is not None:
+            self.stacked = matrices
         if readout is not None:
             self.readout = readout
-
-    @cached_property
-    def stacked(self) -> dict:
-        mats = [self._build(s) for s in range(len(self.base_path))]
-        return {k: np.stack([m[k] for m in mats]) for k in mats[0]} if mats else {}
-
-    def matrices(self, s: int) -> dict:
-        return {k: M[s] for k, M in self.stacked.items()}
 
     def readout(self, s, c):
         return read_matrices(self.stacked, s, c, self.target.dim)
@@ -533,12 +524,11 @@ class RecenteredForm(TimeVaryingOneForm):
         if isinstance(self.target, AlgebraTarget):
             # the readout's sums start from +0, so adding v_0 1 afterwards rounds as
             # adding the terms into v_0 1 does, for the v_0 >= 0 of steps and probes
-            unit = self.target.unit().levels
-            rows = self.target.level_rows([v[0][..., :1] * u + r for u, r in zip(unit, rows)])
+            rows = [v[0][..., :1] * u + r for u, r in zip(self.target.unit(), rows)]
         return rows
 
     def eval(self, s, a, v):
-        return self._rows(s, a.levels, v.levels)[()]
+        return self.target.value(self._rows(s, a.levels, v.levels))
 
     def eval_rows(self, path, s, a, v):
         """All rows recentred at once (two stacked ``mul_levels``), then read out at once."""
@@ -677,19 +667,23 @@ class TimeVaryingRoughOneForm(RecenteredForm):
         if len(fs) != len(path):
             raise ValueError("need one function per grid point")
         hp = _rough_order(f0, p)
-        super().__init__(
-            path, f0.out_shape[0],
-            lambda s: {k: M[0] for k, M in _taylor_matrices(fs[s], path.levels[1][s : s + 1], hp).items()},
-        )
+        super().__init__(path, f0.out_shape[0])
         self.fs = fs
         self.p = p
         self.hp = hp
         self.omega = omega
         self.theta = theta
 
+    @cached_property
+    def stacked(self) -> dict:
+        """The Taylor matrices of each grid time's own function, stacked."""
+        X = self.base_path.levels[1]
+        mats = [_taylor_matrices(f, X[s : s + 1], self.hp) for s, f in enumerate(self.fs)]
+        return {k: np.concatenate([m[k] for m in mats]) for k in mats[0]}
+
     def time_variation_report(self, bound: float | None = None):
         """Per-order Holder quotients of the stack along the path."""
-        xs = [self.base_path.level_one(t) for t in range(len(self.base_path))]
+        xs = list(self.base_path.levels[1])
         own = [[f.deriv(l, x) for l in range(self.hp)] for f, x in zip(self.fs, xs)]
         rows = []
         worst = {}

@@ -34,7 +34,7 @@ class SampledGroupPath:
     tensors, for per-row callers.
     """
 
-    def __init__(self, system: HopfSystem, times, levels, validate: bool = False):
+    def __init__(self, system: HopfSystem, times, levels):
         self.system = system
         self.times = np.asarray(times, dtype=float)
         levels = [np.asarray(l, dtype=float) for l in levels]
@@ -48,10 +48,6 @@ class SampledGroupPath:
         self.levels = levels
         self._dist: np.ndarray | None = None
         self._pvar_rows = weakref.WeakValueDictionary()
-        if validate:
-            for v in self.values:
-                if not system.grouplike_check(v, 1e-9):
-                    raise ValueError("path value fails the grouplike relations")
 
     @cached_property
     def values(self) -> list:
@@ -100,12 +96,8 @@ class SampledGroupPath:
         """Stacked levels of g_s^{-1} a (v - v_0 1) for a grid index array ``s``
         and level lists ``a`` and ``v``, whose leading axes broadcast."""
         system = self.system
-        w = system.mul_levels(a, [l - v[0] * u for l, u in zip(v, system.unit().levels)])
+        w = system.mul_levels(a, [l - v[0] * u for l, u in zip(v, system.unit_levels())])
         return system.mul_levels([l[s] for l in self.inverse_levels], w)
-
-    def level_one(self, i: int) -> np.ndarray:
-        """Degree-one coefficient block of the i-th value."""
-        return self.levels[1][i].copy()
 
     def dilate(self, c: float) -> "SampledGroupPath":
         return SampledGroupPath(self.system, self.times, [(c**k) * l for k, l in enumerate(self.levels)])
@@ -225,25 +217,25 @@ def signature_piecewise_linear(points, n: int, times=None) -> SampledGroupPath:
     lift = [np.zeros((steps.shape[0], system.dim(k))) for k in range(n + 1)]
     if n >= 1:
         lift[1] = steps
-    return _running_products(system, times, system.exp_levels(lift))
+    return SampledGroupPath(system, times, _running_products(system, system.exp_levels(lift)))
 
 
 def path_from_increments(system: HopfSystem, times, step_values) -> SampledGroupPath:
     """Running products of per-interval group increments, starting at the unit."""
-    return _running_products(system, times, stack_levels(system, step_values))
+    return SampledGroupPath(system, times, _running_products(system, stack_levels(system, step_values)))
 
 
-def _running_products(system: HopfSystem, times, steps) -> SampledGroupPath:
-    """The path g_0 = 1, g_{j+1} = g_j s_j of the stacked step levels ``steps``."""
+def _running_products(system: HopfSystem, steps) -> list:
+    """Stacked levels of g_0 = 1, g_{j+1} = g_j s_j for the stacked step levels ``steps``."""
     N = steps[0].shape[0] + 1
     levels = [np.empty((N, system.dim(k))) for k in range(system.n + 1)]
-    g = system.unit().levels
+    g = system.unit_levels()
     for j in range(N):
         if j:
             g = system.mul_levels(g, [l[j - 1] for l in steps])
         for l, row in zip(levels, g):
             l[j] = row
-    return SampledGroupPath(system, times, levels)
+    return levels
 
 
 # -- p-variation ---------------------------------------------------------------

@@ -14,12 +14,13 @@ error bookkeeping), not in the value:
 Convergence evidence comes from :func:`refine_and_compare`, which evaluates
 the coarse-partition products against nested refinements.  One-step values
 are read in batches through ``eval_rows``: all leaves at once, and all
-windows of one partition or one estimate at once.
+windows of one partition or one estimate at once, as the target's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,36 +46,45 @@ def zeta(theta: float, terms: int = 20000) -> float:
 
 @dataclass
 class SewingResult:
-    """Indefinite integral values on the grid plus the schedule's bookkeeping."""
+    """Indefinite integral on the grid plus the schedule's bookkeeping.
+
+    ``prefixes`` stacks the integrals from the first grid time as target rows:
+    an ``(N, dim)`` array, or the ``(N, dim_k)`` levels of an algebra target.
+    ``total`` is the row of the whole window in the schedule's association order.
+    """
 
     times: np.ndarray
     target: object
-    values: list
+    prefixes: object
     theta: float
     omega: Control
     schedule: str
     total: object
     removal_order: list = field(default_factory=list)
     removal_bound: float = 0.0
-    one_steps: object = None  # (i, j) index arrays -> one-step values of those windows
+    one_steps: object = None  # (i, j) index arrays -> one-step rows of those windows
     certificate: IntegrableReport | None = None
 
+    @cached_property
+    def values(self) -> list:
+        """The prefixes one grid time at a time, as target values."""
+        return [self.target.value(self.target.take(self.prefixes, i)) for i in range(len(self.times))]
+
+    def increments(self, i, j):
+        """Rows of the window integrals g_i^{-1} g_j of the prefixes; the index arrays broadcast."""
+        t = self.target
+        return t.mul(t.inverse(t.take(self.prefixes, i)), t.take(self.prefixes, j))
+
     def value(self, i: int, j: int):
-        """The window integral, from the multiplicative family of prefixes."""
-        if i == j:
-            return self.target.unit()
-        return self.target.mul(self.target.inverse(self.values[i]), self.values[j])
+        """The window integral, as a target value."""
+        return self.target.value(self.target.unit() if i == j else self.increments(i, j))
 
     def local_estimates(self, windows) -> list:
         """Deviation of each window integral from its one-step approximation."""
         if self.one_steps is None:
             raise ValueError("no one-step evaluator attached")
         i, j = np.array(windows, dtype=np.int64).reshape(-1, 2).T
-        ones = self.one_steps(i, j)
-        return [
-            self.target.sigma_max_norm(self.target.sub(self.value(a, b), one))
-            for a, b, one in zip(i.tolist(), j.tolist(), ones)
-        ]
+        return self.target.sigma_max_norms(self.target.sub(self.increments(i, j), self.one_steps(i, j))).tolist()
 
     def local_estimate(self, i: int, j: int) -> float:
         return self.local_estimates([(i, j)])[0]
@@ -159,25 +169,25 @@ def loglog_slope(xs, ys) -> float:
 def sew_generic(one_steps, N: int, target, omega: Control, theta: float, schedule: str):
     """Ordered product of one-step values; returns (prefixes, total, removals, bound).
 
-    ``one_steps(i, j)`` must produce the one-step values over the windows
+    ``one_steps(i, j)`` must produce the one-step rows over the windows
     (i, j) of two index arrays; it is called once, for all N - 1 leaves.
+    The prefixes are the target's running products of the leaves, stacked;
+    the schedule only decides how ``total`` associates them.
     """
     sched = SCHEDULES.get(schedule)
     if sched is None:
         raise ValueError(f"unknown schedule {schedule!r}")
     steps = np.arange(N - 1)
-    leaves = list(one_steps(steps, steps + 1))
-    prefixes = [target.unit()]
-    for leaf in leaves:
-        prefixes.append(target.mul(prefixes[-1], leaf))
+    leaves = one_steps(steps, steps + 1)
+    prefixes = target.prefixes(leaves)
     removals: list[int] = []
     bound = 0.0
     if sched == "ltr" or N <= 2:
-        total = prefixes[-1]
+        total = target.take(prefixes, -1)
     elif sched == "dyadic":
-        total = _balanced(leaves, target)
+        total = _balanced([target.take(leaves, j) for j in steps], target)
     else:
-        total, removals, bound = _omega_guided(leaves, target, omega, theta, N)
+        total, removals, bound = _omega_guided([target.take(leaves, j) for j in steps], target, omega, theta, N)
     return prefixes, total, removals, bound
 
 
@@ -259,7 +269,7 @@ def sew(
     return SewingResult(
         times=path.times,
         target=beta.target,
-        values=prefixes,
+        prefixes=prefixes,
         theta=theta,
         omega=omega,
         schedule=SCHEDULES[schedule],
@@ -311,19 +321,21 @@ def refine_and_compare(
             break
         chain.append(nxt)
 
+    tgt = beta.target
+
     def total_on(indices):
         a, b = np.array(indices[:-1]), np.array(indices[1:])
-        vals = beta.eval_rows(fine, a, a, fine.increments(a, b))
-        out = vals[0]
-        for v in vals[1:]:
-            out = beta.target.mul(out, v)
+        rows = beta.eval_rows(fine, a, a, fine.increments(a, b))
+        out = tgt.take(rows, 0)
+        for r in range(1, len(a)):
+            out = tgt.mul(out, tgt.take(rows, r))
         return out
 
     totals = [total_on(ix) for ix in chain]
     meshes, devs = [], []
     for lvl in range(len(chain) - 1):
         mesh = max(omega(a, b) for a, b in zip(chain[lvl], chain[lvl][1:]))
-        dev = beta.target.sigma_max_norm(beta.target.sub(totals[lvl], totals[-1]))
+        dev = float(tgt.sigma_max_norms(tgt.sub(totals[lvl], totals[-1])))
         meshes.append(mesh)
         devs.append(dev)
     # the bound decays like mesh-control^(theta-1); the regression measures it

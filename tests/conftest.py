@@ -59,3 +59,14 @@ def eval_calls(monkeypatch):
         if isinstance(cls, type) and issubclass(cls, one_forms.TimeVaryingOneForm) and "eval" in vars(cls):
             monkeypatch.setattr(cls, "eval", lambda *args, f=cls.eval: calls.append(args[1:]) or f(*args))
     return calls
+
+
+@pytest.fixture
+def tensor_inits(monkeypatch):
+    """The system of every ``GradedTensor`` built while the test runs."""
+    from cocycle.algebra import GradedTensor
+
+    calls = []
+    init = GradedTensor.__init__
+    monkeypatch.setattr(GradedTensor, "__init__", lambda self, system, levels: calls.append(system) or init(self, system, levels))
+    return calls

@@ -269,6 +269,8 @@ GOLDEN_RUNS = {
     "enhance_walk": ["enhance", "--form", "{form2}", "--p", "2", "{walk}"],
     "pvar_butcher": ["pvar", "--system", "butcher", "--p", "2.5", "{butcher}"],
     "extend_butcher": ["extend", "--system", "butcher", "--to-level", "3", "--p", "2.5", "{butcher}"],
+    "extend_walk_level4": ["extend", "--to-level", "4", "--p", "1.5", "{walk}"],
+    "extend_butcher_level4": ["extend", "--system", "butcher", "--to-level", "4", "--p", "2.5", "{butcher}"],
 }
 
 
@@ -282,6 +284,18 @@ def golden_argv(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_golden_command_output(name, capsys):
     code, out, err = run_cli(golden_argv(name), capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("schedule", ["dyadic", "omega"])
+@pytest.mark.parametrize(
+    "name",
+    ["integrate_walk", "enhance_walk", "extend_walk", "extend_butcher", "extend_walk_level4", "extend_butcher_level4"],
+)
+def test_schedule_keeps_golden_output(name, schedule, capsys):
+    # the CLI prints the prefixes, which every schedule computes by the left fold
+    code, out, err = run_cli(golden_argv(name) + ["--schedule", schedule], capsys=capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
@@ -307,6 +321,46 @@ def test_dominated_commands_read_forms_in_rows(name, capsys, eval_calls):
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
     assert eval_calls == []
+
+
+def grid_inputs(tmp_path, N) -> dict:
+    """An N-point 2-D walk as CSV and an N-point level-2 Butcher-character path as JSON."""
+    from cocycle import serialize
+    from cocycle.algebra import tensor_system
+    from cocycle.paths import path_from_increments
+    from conftest import random_character
+
+    rng = np.random.default_rng(N)
+    pts = np.vstack([np.zeros((1, 2)), (rng.normal(size=(N - 1, 2)) / np.sqrt(N)).cumsum(axis=0)])
+    walk = tmp_path / f"walk{N}.csv"
+    walk.write_text("t,x1,x2\n" + "".join(f"{t!r},{a!r},{b!r}\n" for t, (a, b) in zip(np.linspace(0.0, 1.0, N).tolist(), pts.tolist())))
+    b2 = tensor_system("butcher", 2, 2)
+    steps = [random_character(b2, rng, 0.4) for _ in range(N - 1)]
+    forest = tmp_path / f"forest{N}.json"
+    forest.write_text(serialize.dumps(serialize.path_to_obj(path_from_increments(b2, np.arange(float(N)), steps))))
+    return {"walk": walk, "forest": forest, "form2": GOLDEN_DIR / "form2.json"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "--to-level", "4", "--p", "1.5", "{walk}"],
+        ["extend", "--system", "butcher", "--to-level", "3", "--p", "2.5", "{forest}"],
+        ["enhance", "--form", "{form2}", "--p", "2", "{walk}"],
+    ],
+    ids=["extend-word", "extend-forest", "enhance"],
+)
+def test_cli_builds_no_tensor_per_grid_point(argv, tmp_path, capsys, tensor_inits):
+    # sewing, enhancement and level extension read stacked levels: the tensors a run
+    # builds do not grow with the grid
+    built = []
+    for N in (12, 60):
+        files = grid_inputs(tmp_path, N)
+        start = len(tensor_inits)
+        code, out, err = run_cli([a.format(**files) for a in argv], capsys=capsys)
+        assert (code, err) == (0, "")
+        built.append(len(tensor_inits) - start)
+    assert built[0] == built[1]
 
 
 def test_system_flag_gates_csv(line_csv, capsys):
@@ -481,6 +535,19 @@ def test_extend_constant_path_null_ratio(capsys, tmp_path):
     assert all(v == [{"index": "()", "value": 1.0}] for v in obj["values"])
 
 
+def test_extend_far_from_origin_exit_3(capsys, tmp_path):
+    # valid values far from the origin: their one-step increments fail the lift's relative
+    # grouplike test by roundoff, and the lift refuses them as a certificate failure
+    walk = np.random.default_rng(0).normal(size=(6, 2)).cumsum(axis=0)
+    f = tmp_path / "far.json"
+    f.write_text(offset_path_json(1e-6 * walk, 1e6, 2))
+    code, out, err = run_cli(["extend", "--to-level", "3", "--p", "1.5", str(f)], capsys=capsys)
+    assert (code, out) == (3, "")
+    payload = json.loads(err)  # the whole of stderr is one JSON document
+    assert payload["error"] == "CertificateError" and payload["exit"] == 3
+    assert all(word in payload["message"] for word in ("grouplike", "step", "residual", "tolerance"))
+
+
 def hostile_path_json(data, pts, depth) -> str:
     """A path JSON: the signature of ``pts`` or a Butcher-character path, maybe tampered with."""
     from cocycle import serialize
@@ -512,27 +579,48 @@ def hostile_path_json(data, pts, depth) -> str:
     return json.dumps(obj)  # overflowed values go in as Infinity or NaN
 
 
+def offset_path_json(walk, offset, depth) -> str:
+    """A word-system path JSON of the values exp(x_i), x_i = offset (1, 0.7) + walk_i.
+
+    The values are grouplike, but far from the origin: the roundoff of the
+    increments g_i^{-1} g_j scales with |g_i| |g_j|, not with the increments.
+    """
+    from cocycle import serialize
+    from cocycle.algebra import tensor_system
+    from cocycle.paths import SampledGroupPath
+
+    N, d = walk.shape
+    system = tensor_system("nilpotent", d, depth)
+    lift = [np.zeros((N, system.dim(k))) for k in range(depth + 1)]
+    lift[1] = offset * np.array([1.0, 0.7])[:d] + walk
+    return serialize.dumps(serialize.path_to_obj(SampledGroupPath(system, np.arange(float(N)), system.exp_levels(lift))))
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_contract_on_hostile_paths(data, tmp_path, capsys):
-    """Any 2-6 point path, CSV or JSON, at any scale: exit 0, 2, 3 or 4, and JSON on the right stream."""
+    """Any 2-6 point path, CSV or JSON, at any scale or far from the origin: exit 0, 2, 3 or 4,
+    and JSON on the right stream."""
     N = data.draw(st.integers(2, 6), "points")
     d = data.draw(st.sampled_from([1, 2]), "d")
-    shape = data.draw(st.sampled_from(["walk", "zeros", "constant"]), "shape")
+    shape = data.draw(st.sampled_from(["walk", "zeros", "constant", "offset"]), "shape")
     scale = 10.0 ** data.draw(st.integers(-300, 150), "exponent")
     unit = st.floats(-1.0, 1.0, allow_nan=False)
-    if shape == "walk":
+    if shape in ("walk", "offset"):
         pts = np.array(data.draw(st.lists(st.lists(unit, min_size=d, max_size=d), min_size=N, max_size=N)))
     else:
         pts = np.zeros((N, d)) + (data.draw(unit) if shape == "constant" else 0.0)
-    pts = pts * scale
     depth = data.draw(st.integers(1, 3), "depth")
-    if data.draw(st.booleans(), "json"):
+    if shape == "offset":  # valid values exp(x_i) far from the origin, with small steps
+        offset, step = data.draw(st.sampled_from([(1e6, 1e-6), (1e8, 1e-4), (1e9, 1e-3)]), "offset")
+        depth = max(depth, 2)
+        text = offset_path_json(pts * step, offset, depth)
+    elif data.draw(st.booleans(), "json"):
         with np.errstate(over="ignore", invalid="ignore"):  # the CLI refuses what overflows
-            text = hostile_path_json(data, pts, depth)
+            text = hostile_path_json(data, pts * scale, depth)
     else:
         text = "t," + ",".join(f"x{j + 1}" for j in range(d)) + "\n"
-        text += "".join(",".join(repr(float(x)) for x in (t, *row)) + "\n" for t, row in enumerate(pts))
+        text += "".join(",".join(repr(float(x)) for x in (t, *row)) + "\n" for t, row in enumerate(pts * scale))
     options = ["--depth", str(depth), "--p", repr(data.draw(st.floats(1.0, 3.5), "p")),
                "--schedule", data.draw(st.sampled_from(["ltr", "omega", "dyadic"]), "schedule")]
     form = tmp_path / "form.json"
@@ -542,7 +630,7 @@ def test_cli_contract_on_hostile_paths(data, tmp_path, capsys):
     }))
     func = tmp_path / "func.json"
     func.write_text(json.dumps({"in_dim": 1, "out_dim": 1, "degree": 2, "derivatives": [[0.0], [[1.0]], [[[2.0]]]]}))
-    to_level = str(depth + data.draw(st.integers(0, 2), "raise"))
+    to_level = str(depth + data.draw(st.integers(int(shape == "offset"), 2), "raise"))
     commands = [
         ["signature"], ["pvar"], ["extend", "--to-level", to_level],
         ["integrate", "--form", str(form)], ["certify", "--form", str(form)],

@@ -437,7 +437,7 @@ class TestControlled:
         pts, g, om = wiggly_base(rng, N=7)
         d = coordinate_coupling(g, om, theta=1.5, p=2.0)
         c1 = ControlledPath.from_coefficients(
-            g, np.zeros((len(g), 1)), lambda s: {1: np.zeros((1, 2))}, om, 1.5, 2.0
+            g, np.zeros((len(g), 1)), {1: np.zeros((len(g), 1, 2))}, om, 1.5, 2.0
         )
         c2 = ControlledPath.from_dominated(d)
         tr, _ = controlled_iterated_integral(c1, c2)

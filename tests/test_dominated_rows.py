@@ -74,7 +74,7 @@ def calculus_chain(times, pts) -> dict:
         "compose": comp.trace,
         "outer": outer.trace,
         "rebased": rebased.trace,
-        "rough_level1": np.stack([v.levels[1] for v in rough.values]),
+        "rough_level1": rough.as_sampled_path().levels[1],
         "controlled_pair": pair_trace,
         "controlled_ratio": np.array(diag["ratio"]),
         "controlled_worst_triple": np.array(diag["worst_triple"]),
@@ -102,6 +102,16 @@ def test_calculus_chain_matches_golden_arrays():
         assert np.array_equal(arr, want[name]), name
     for name in ("walk", "walk60"):  # the controlled ratio, by float.hex
         assert float(got[f"{name}_controlled_ratio"]).hex() == float(want[f"{name}_controlled_ratio"]).hex()
+
+
+def test_calculus_chain_builds_no_tensor_per_grid_point(tensor_inits):
+    # the chain reads stacked levels: the tensors it builds do not grow with the grid
+    built = []
+    for times, pts in (serialize.read_csv_path((GOLDEN_DIR / "walk.csv").read_text()), walk60()):
+        start = len(tensor_inits)
+        calculus_chain(times, pts)
+        built.append(len(tensor_inits) - start)
+    assert built[0] == built[1]
 
 
 def test_calculus_chain_reads_forms_in_rows(eval_calls):
@@ -312,7 +322,7 @@ def test_dominated_forms_read_rows(level, p):
     forms["rebase"] = (rebase(outer, enh).form, ref_rebase(outer_fn, enh, ladders))
     if level == int(p):
         c1 = ControlledPath.from_dominated(x)
-        low = [{k: c1.form.matrices(s)[k] for k in range(1, level)} for s in range(N)]
+        low = [{k: c1.form.stacked[k][s] for k in range(1, level)} for s in range(N)]
         forms["controlled_against_y"] = (
             integrate_controlled_against(c1, y).form,
             ref_iterated(g, c1.trace, low, ref_matrices(y, degrees), y.dim),
@@ -328,6 +338,7 @@ def test_dominated_forms_read_rows(level, p):
             assert row_bytes(got) == row_bytes(rows_by_reference(ref, g, s, a, v)), name
     # the enhancement form, through the one-step values of its sewing
     got = enh.result.one_steps(first, last)
+    got = [GradedTensor(enh.system, [l[r] for l in got]) for r in range(len(first))]
     assert row_bytes(got) == row_bytes(rows_by_reference(enh_fn, g, first, first, g.increments(first, last)))
 
 

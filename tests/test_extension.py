@@ -127,14 +127,14 @@ class TestLift:
     def test_unit_lifts_to_unit(self):
         for kind in ("nilpotent", "butcher"):
             s = tensor_system(kind, 2, 2)
-            lifted = lift_into_group(s.unit())
+            lifted = lift_into_group(s, s.unit())
             assert tensor_max_dev(lifted, lifted.system.unit()) == 0.0
 
     def test_word_lift_of_segment_exponential(self):
         s = tensor_system("nilpotent", 2, 2)
         v = s.zero()
         v.levels[1][:] = [0.4, -0.3]
-        lifted = lift_into_group(s.exp(v))
+        lifted = lift_into_group(s, s.exp(v))
         up = tensor_system("nilpotent", 2, 3)
         vv = up.zero()
         vv.levels[1][:] = [0.4, -0.3]
@@ -143,7 +143,7 @@ class TestLift:
     def test_forest_lift_grouplike_and_projects(self, rng):
         s = tensor_system("butcher", 2, 2)
         a = random_character(s, rng)
-        lifted = lift_into_group(a)
+        lifted = lift_into_group(s, a)
         assert lifted.system.grouplike_residual(lifted) < 1e-12
         assert all(
             np.allclose(x, y) for x, y in zip(lifted.levels[:3], a.levels)
@@ -155,7 +155,7 @@ class TestLift:
         a = s.unit()
         a.levels[1][0] = 1.0  # 1 + e is not grouplike at level 2
         with pytest.raises(ValueError, match="grouplike"):
-            lift_into_group(a)
+            lift_into_group(s, a)
 
     @pytest.mark.parametrize("scale", [1e3, 1e6])
     def test_large_grouplike_lifts_and_perturbed_is_refused(self, scale):
@@ -163,10 +163,10 @@ class TestLift:
         v = s.zero()
         v.levels[1][:] = [0.8 * scale, -0.6 * scale]
         a = s.exp(v)
-        assert lift_into_group(a).system.n == 3
+        assert lift_into_group(s, a).system.n == 3
         a.levels[2][1] += 1e-6 * a.norm()  # breaks the shuffle relation x1 x2 = x12 + x21
         with pytest.raises(ValueError, match="grouplike"):
-            lift_into_group(a)
+            lift_into_group(s, a)
 
 
 @pytest.mark.parametrize("scale", [1e3, 1e6])
