@@ -47,11 +47,12 @@ from .one_forms import (
     RoughOneForm,
     SlowVaryingReport,
     TimeVaryingOneForm,
-    column_norms,
+    pair_quotients,
     read_matrices,
     slowly_varying_certificate,
 )
-from .paths import CHEN_CHUNK, Control, SampledGroupPath, control_from_pvar, grid_triples, vector_p_variation
+from .paths import CHEN_CHUNK, Control, SampledGroupPath, control_from_pvar, grid_triples, holder_quotients
+from .paths import sup_quotient, vector_p_variation
 from .sewing import SewingResult, sew
 
 
@@ -117,18 +118,7 @@ class DominatedPath:
 
     def remainder_quotient(self) -> float:
         """sup |h_t - h_s - beta_s(g_s, g_{s,t})| / w(s,t)^theta over pairs."""
-        N = len(self.base)
-        worst = 0.0
-        for s in range(N - 1):
-            later = np.arange(s + 1, N)
-            ones = self.form.eval_rows(self.base, s, s, self.base.increments(s, later))
-            devs = np.abs((self.trace[later] - self.trace[s]) - ones).sum(axis=-1)
-            for t, dev in zip(later.tolist(), devs.tolist()):
-                w = self.omega(s, t)
-                if w <= 0:
-                    continue
-                worst = max(worst, dev / w**self.theta)
-        return worst
+        return sup_quotient(pair_quotients(self.form, self.base, self.omega, [self.theta], {}, self.trace))[0]
 
     def p_variation(self) -> float:
         return vector_p_variation(self.trace, self.p)
@@ -538,31 +528,14 @@ class ControlledPath:
 
     def certificate_norm(self) -> float:
         """The combined bound of the weak-control conditions (finite = pass)."""
-        N = len(self.base)
         low, form = self.low, self.form
         degrees = range(1, int(math.floor(self.p)))
-        times = np.arange(N)
+        times = np.arange(len(self.base))
         own = {k: form.probe_matrix(low, times, times, k) for k in degrees}
-        worst_remainder = 0.0
-        worst_var = 0.0
         sup_norm = max([0.0] + [float(np.abs(M).sum(axis=-2).max(initial=0.0)) for M in form.stacked.values()])
-        for s in range(N - 1):
-            later = times[s + 1 :]
-            ones = form.eval_rows(low, s, s, low.increments(s, later))
-            devs = np.abs((self.trace[later] - self.trace[s]) - ones).sum(axis=-1).tolist()
-            gaps = {
-                k: column_norms(own[k][later] - form.probe_matrix(low, s, later, k)).max(axis=-1).tolist()
-                for k in degrees
-            }
-            for i, t in enumerate(later.tolist()):
-                w = self.omega(s, t)
-                if w <= 0:
-                    continue
-                worst_remainder = max(worst_remainder, devs[i] / w ** (self.theta - 1.0 / self.p))
-                for k in degrees:
-                    expo = self.theta - (1 + k) / self.p
-                    worst_var = max(worst_var, gaps[k][i] / w**expo)
-        return sup_norm + worst_remainder + worst_var
+        expos = [self.theta - (1 + k) / self.p for k in range(len(degrees) + 1)]
+        q = pair_quotients(form, low, self.omega, expos, own, self.trace)
+        return sup_norm + sup_quotient(q[:, 0])[0] + sup_quotient(q[:, 1:])[0]
 
     def increment(self, s: int, t: int) -> np.ndarray:
         return self.trace[t] - self.trace[s]
@@ -600,8 +573,7 @@ def controlled_iterated_integral(c1: ControlledPath, c2: ControlledPath):
 
     # integrable-condition residuals of the augmented one-form on triples
     expo = min(c1.theta, (int(math.floor(c1.p)) + 1) / c1.p)
-    worst = 0.0
-    worst_triple = None
+    worst, worst_triple = 0.0, None
     triples = grid_triples(N)
     while chunk := list(itertools.islice(triples, CHEN_CHUNK)):
         s, u, t = np.array(chunk, dtype=np.int64).T
@@ -609,14 +581,10 @@ def controlled_iterated_integral(c1: ControlledPath, c2: ControlledPath):
         blocks = _split(double_split_blocks, system, inc)
         lead_dev = _outer(c1.trace[u] - c1.trace[s], c2.trace[t] - c2.trace[u])
         kern_dev = _pair_kernel(blocks, mats1, mats2, u, u.shape) - _pair_kernel(blocks, mats1, mats2, s, s.shape)
-        devs = np.abs(lead_dev + kern_dev).max(axis=(-2, -1)).tolist()
-        for triple, dev in zip(chunk, devs):
-            w = c1.omega(triple[0], triple[2])
-            if w <= 0:
-                continue
-            q = dev / w**expo
-            if q > worst:
-                worst, worst_triple = q, triple
+        devs = np.abs(lead_dev + kern_dev).max(axis=(-2, -1))
+        q, k = sup_quotient(holder_quotients(devs, c1.omega.rows(s, t), expo))
+        if q > worst:
+            worst, worst_triple = q, chunk[k]
     return trace, {"ratio": worst, "worst_triple": worst_triple}
 
 

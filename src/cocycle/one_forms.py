@@ -24,7 +24,8 @@ import numpy as np
 
 from . import trees
 from .algebra import ForestSystem, GradedTensor, HopfSystem, WordSystem, stack_levels, tensor_system
-from .paths import CHEN_CHUNK, Control, SampledGroupPath, _running_products, grid_triples
+from .paths import CHEN_CHUNK, Control, SampledGroupPath, _running_products, grid_triples, holder_quotients
+from .paths import sup_quotient
 from .shuffles import apply_inverse, ordered_shuffles
 
 
@@ -255,19 +256,16 @@ def _check_symmetric(arr: np.ndarray, l: int, tol: float = 1e-10):
 
 
 def holder_remainder_residual(f: LipFunction, samples, R: float | None = None) -> float:
-    """Empirical Holder quotient of the top derivative over sample pairs."""
-    top = f.top
-    expo = f.gamma - top
-    worst = 0.0
+    """Empirical Holder quotient of the top derivative over sample pairs (ell-1 gaps below 1e-12 skipped)."""
     pts = [np.asarray(x, dtype=float) for x in samples]
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            gap = float(np.abs(x - y).sum())
-            if gap < 1e-12:
-                continue
-            dev = float(np.abs(f.deriv(top, x) - f.deriv(top, y)).max())
-            worst = max(worst, dev / gap**expo)
-    return worst
+    if len(pts) < 2:
+        return 0.0
+    X = np.array(pts)
+    D = f.deriv_rows(f.top, X)
+    i, j = np.triu_indices(len(X), 1)
+    gaps = np.abs(X[i] - X[j]).sum(axis=-1)
+    devs = np.abs(D[i] - D[j]).reshape(len(i), -1).max(axis=-1)
+    return sup_quotient(holder_quotients(devs, np.where(gaps < 1e-12, 0.0, gaps), f.gamma - f.top))[0]
 
 
 # -- the one-form interface ------------------------------------------------------
@@ -682,28 +680,29 @@ class TimeVaryingRoughOneForm(RecenteredForm):
         return {k: np.concatenate([m[k] for m in mats]) for k in mats[0]}
 
     def time_variation_report(self, bound: float | None = None):
-        """Per-order Holder quotients of the stack along the path."""
-        xs = list(self.base_path.levels[1])
-        own = [[f.deriv(l, x) for l in range(self.hp)] for f, x in zip(self.fs, xs)]
+        """Per-order Holder quotients of the stack along the path, one start row at a time."""
+        X = self.base_path.levels[1]
+        N = X.shape[0]
+        own = [np.stack([f.deriv(l, x) for f, x in zip(self.fs, X)]) for l in range(self.hp)]
         rows = []
         worst = {}
         for l in range(self.hp):
             expo = self.theta - (l + 1) / self.p
-            for s in range(len(xs) - 1):
-                for t in range(s + 1, len(xs)):
-                    dev = float(np.abs(own[t][l] - self.fs[s].deriv(l, xs[t])).max())
-                    w = self.omega(s, t)
-                    if w <= 0:
-                        continue
-                    q = dev / w**expo
-                    rows.append((s, t, l, dev, w, q))
-                    if q > worst.get(l, (0.0, None))[0]:
-                        worst[l] = (q, (s, t, l))
-                    if bound is not None and q > bound:
-                        raise CertificateError(
-                            "time-varying stack violates the compensated regularity bound",
-                            detail=(s, t, l),
-                        )
+            for s in range(N - 1):
+                later = np.arange(s + 1, N)
+                gap = own[l][s + 1 :] - self.fs[s].deriv_rows(l, X[s + 1 :])
+                dev = np.abs(gap).reshape(len(later), -1).max(axis=1)
+                w = self.omega.rows(s, later)
+                q = holder_quotients(dev, w, expo)
+                live = w > 0
+                cells = zip(later[live].tolist(), dev[live].tolist(), w[live].tolist(), q[live].tolist())
+                rows += [(s, t, l, d, x, y) for t, d, x, y in cells]
+                top, k = sup_quotient(q)
+                if top > worst.get(l, (0.0, None))[0]:
+                    worst[l] = (top, (s, s + 1 + k, l))
+                if bound is not None and (q > bound).any():
+                    at = (s, s + 1 + int(np.argmax(q > bound)), l)
+                    raise CertificateError("time-varying stack violates the compensated regularity bound", detail=at)
         return {"rows": rows, "worst": worst}
 
 
@@ -751,26 +750,36 @@ def slowly_varying_certificate(
     times = np.arange(N)
     own = [beta.probe_matrix(path, times, times, k) for k in range(n + 1)]
     M = max(float(column_norms(P).max(initial=0.0)) for P in own)
-    quotients = {k: 0.0 for k in range(1, n + 1)}
-    worst_pair = None
-    for s in range(N - 1):
+    degrees = range(1, n + 1)
+    q = pair_quotients(beta, path, omega, [theta - k / p for k in degrees], {k: own[k] for k in degrees})
+    best = {k: sup_quotient(q[:, k - 1]) for k in degrees}
+    quotients = {k: v for k, (v, _) in best.items()}
+    top = max(quotients.values(), default=0.0)
+    # a loop over pairs, then degrees, ends on the last degree to first reach the top quotient
+    i, k = max([(i, k) for k, (v, i) in best.items() if i is not None and v == top], default=(None, None))
+    s, t = np.triu_indices(N, 1)
+    worst_pair = None if i is None else (int(s[i]), int(t[i]), k)
+    return SlowVaryingReport(M, theta, p, quotients, M + top, worst_pair)
+
+
+def pair_quotients(form, path, omega, expos, own, trace=None) -> np.ndarray:
+    """Holder quotients over the grid pairs s < t in row-major order, one start row at a time.
+
+    With a ``trace`` h, column 0 takes the remainder ``|h_t - h_s - beta_s(g_s, g_{s,t})|``;
+    the next take, for each degree k of ``own`` (the probes P_t of every grid time), the
+    gap ``|P_t - probe(s, g_t)|``.  Column c is read at ``expos[c]``; nan where w(s,t) <= 0.
+    """
+    times = np.arange(len(path))
+    blocks = []
+    for s in times[:-1].tolist():
         later = times[s + 1 :]
-        devs = {
-            k: column_norms(own[k][later] - beta.probe_matrix(path, s, later, k)).max(axis=-1).tolist()
-            for k in quotients
-        }
-        for i, t in enumerate(later.tolist()):
-            w = omega(s, t)
-            if w <= 0:
-                continue
-            for k in range(1, n + 1):
-                q = devs[k][i] / w ** (theta - k / p)
-                if q > quotients[k]:
-                    quotients[k] = q
-                    if q >= max(quotients.values()):
-                        worst_pair = (s, t, k)
-    beta_norm = M + (max(quotients.values()) if quotients else 0.0)
-    return SlowVaryingReport(M, theta, p, quotients, beta_norm, worst_pair)
+        devs = []
+        if trace is not None:
+            ones = form.eval_rows(path, s, s, path.increments(s, later))
+            devs.append(np.abs((trace[later] - trace[s]) - ones).sum(axis=-1))
+        devs += [column_norms(P[later] - form.probe_matrix(path, s, later, k)).max(axis=-1) for k, P in own.items()]
+        blocks.append(holder_quotients(np.array(devs).T, omega.rows(s, later)[:, None], expos))
+    return np.concatenate(blocks) if blocks else np.zeros((0, len(expos)))
 
 
 @dataclass
@@ -815,16 +824,14 @@ def integrable_condition_check(
         frozen = frozen and not any((np.abs(l).max(axis=-1) > 1e-14).any() for l in inc[1:])
         late = beta.eval_rows(path, mid, mid, inc)
         early = beta.eval_rows(path, first, mid, inc)
-        devs = tgt.sigma_max_norms(tgt.sub(late, early)).tolist()
-        for (s, u, t), dev in zip(chunk, devs):
-            w = omega(s, t)
-            if w <= 0:
-                if dev > 1e-13:
-                    ratio = np.inf
-                    worst = (s, u, t)
-                continue
-            q = dev / w**theta
-            if q > ratio:
-                ratio, worst = q, (s, u, t)
+        devs = tgt.sigma_max_norms(tgt.sub(late, early))
+        w = omega.rows(first, last)
+        q, k = sup_quotient(holder_quotients(devs, w, theta))
+        if q > ratio:
+            ratio, worst = q, chunk[k]
+        # a deviation on a window of zero control is unbounded; the last one is reported
+        zero = np.flatnonzero((w <= 0) & (devs > 1e-13))
+        if zero.size:
+            ratio, worst = np.inf, chunk[zero[-1]]
     ok = theta > 1.0 and np.isfinite(ratio) and np.isfinite(M)
     return IntegrableReport(M, ratio, theta, worst, ok, frozen)

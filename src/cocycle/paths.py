@@ -10,6 +10,10 @@ The levels of the values are stacked once, as ``(N, dim_k)`` arrays, and
 p-variation is computed exactly over the sample grid by dynamic programming,
 one row per start index, grown on demand (pairwise increment norms are
 cached).
+
+A :class:`Control` answers row queries ``rows(i, j)`` over index arrays; every
+certificate measures Holder quotients ``dev / w(s,t)^e`` with
+:func:`holder_quotients` and picks its worst window with :func:`sup_quotient`.
 """
 
 from __future__ import annotations
@@ -245,8 +249,9 @@ class _PVarRows:
 
     ``rows[i][m]`` is the largest sum of |increment|^p over partitions of the
     window [i, i + m].  ``norms()`` gives the (N, N) increment-norm table; it
-    is read at the first query, and a row is extended only up to the largest
-    end index asked of it.
+    is read at the first query.  A query reads the cells (i, j), i <= j, of two
+    index arrays that broadcast: each distinct start row grows once, up to the
+    largest end asked of it, then its cells are gathered.
     """
 
     def __init__(self, norms, p: float):
@@ -255,17 +260,24 @@ class _PVarRows:
         self.powers: np.ndarray | None = None
         self.rows: dict[int, np.ndarray] = {}
 
-    def __call__(self, i: int, j: int) -> float:
+    def __call__(self, i, j) -> np.ndarray:
         if self.powers is None:
             self.powers = self.norms() ** self.p
-        row = self.rows.get(i, np.zeros(1))
-        done = len(row)
-        if done <= j - i:
-            row = np.concatenate([row, np.empty(j - i + 1 - done)])
-            for m in range(done, j - i + 1):
-                row[m] = (row[:m] + self.powers[i : i + m, i + m]).max()
-            self.rows[i] = row
-        return float(row[j - i])
+        i, j = np.broadcast_arrays(i, j)
+        ends = np.full(len(self.powers), -1)
+        np.maximum.at(ends, i.ravel(), j.ravel())  # the largest end asked of each start
+        starts = np.flatnonzero(ends >= 0)
+        grown = []
+        for s, end in zip(starts.tolist(), ends[starts].tolist()):
+            row = old = self.rows.get(s, np.zeros(1))
+            if len(old) <= end - s:
+                row = np.concatenate([old, np.empty(end - s + 1 - len(old))])
+                for m in range(len(old), len(row)):
+                    row[m] = (row[:m] + self.powers[s : s + m, s + m]).max()
+                self.rows[s] = row
+            grown.append(row)
+        first = np.cumsum([0] + [len(row) for row in grown])[np.searchsorted(starts, i)]
+        return np.concatenate(grown)[first + j - i]
 
 
 def p_variation(path: SampledGroupPath, p: float, window=None) -> float:
@@ -275,7 +287,7 @@ def p_variation(path: SampledGroupPath, p: float, window=None) -> float:
     i0, i1 = (0, len(path) - 1) if window is None else window
     if i0 >= i1:
         return 0.0
-    return path.pvar_rows(p)(i0, i1) ** (1.0 / p)
+    return float(path.pvar_rows(p)(i0, i1)) ** (1.0 / p)
 
 
 def vector_p_variation(xs: np.ndarray, p: float) -> float:
@@ -287,27 +299,36 @@ def vector_p_variation(xs: np.ndarray, p: float) -> float:
     dist = np.zeros((N, N))
     for i in range(N):
         dist[i, i + 1 :] = np.abs(xs[i + 1 :] - xs[i]).sum(axis=1)
-    return _PVarRows(lambda: dist, p)(0, N - 1) ** (1.0 / p)
+    return float(_PVarRows(lambda: dist, p)(0, N - 1)) ** (1.0 / p)
 
 
 @dataclass
 class Control:
     """Superadditive two-parameter function on grid index pairs.
 
-    ``fn(i, j)`` gives the value on windows i < j; a sum of two controls keeps
-    its operands in ``parts`` and adds their values, left one first.
+    ``fn(i, j)`` gives the values on the windows i < j of two index arrays; a
+    sum of two controls keeps its operands in ``parts`` and adds their rows,
+    left one first.
     """
 
     times: np.ndarray
-    fn: object = None  # callable (i, j) -> float
+    fn: object = None  # callable (index array i, index array j) -> values
     parts: tuple = ()
 
-    def __call__(self, i: int, j: int) -> float:
-        if j <= i:
-            return 0.0
+    def rows(self, i, j) -> np.ndarray:
+        """w(i, j) over grid index arrays that broadcast, 0 where j <= i."""
+        i, j = np.broadcast_arrays(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64))
         if self.parts:
-            return self.parts[0](i, j) + self.parts[1](i, j)
-        return float(self.fn(i, j))
+            return self.parts[0].rows(i, j) + self.parts[1].rows(i, j)
+        out = np.zeros(i.shape)
+        live = j > i
+        if live.any():
+            out[live] = self.fn(i[live], j[live])
+        return out
+
+    def __call__(self, i: int, j: int) -> float:
+        """The one-window case of :meth:`rows`."""
+        return float(self.rows(i, j))
 
     def __add__(self, other: "Control") -> "Control":
         return Control(self.times, parts=(self, other))
@@ -318,11 +339,31 @@ class Control:
         N = len(self.times)
         if N < 3:  # no triples
             return 0.0
-        worst = 0.0
-        for _ in range(samples):
-            s, u, t = sorted(rng.choice(N, size=3, replace=False))
-            worst = min(worst, self(s, t) - self(s, u) - self(u, t))
-        return worst
+        drawn = [sorted(rng.choice(N, size=3, replace=False)) for _ in range(samples)]
+        s, u, t = np.array(drawn, dtype=np.int64).reshape(-1, 3).T
+        return min([0.0] + (self.rows(s, t) - self.rows(s, u) - self.rows(u, t)).tolist())
+
+
+def holder_quotients(dev, w, e) -> np.ndarray:
+    """Holder quotients ``dev / w**e`` where w > 0 and nan elsewhere; the arrays broadcast.
+
+    Each power is a Python float power, taken in row-major order: ``np.power`` can
+    round an ulp apart, and on overflow it gives inf or ``FloatingPointError``
+    where Python raises ``OverflowError``.
+    """
+    dev, w, e = np.broadcast_arrays(dev, w, e)
+    out = np.full(w.shape, np.nan)
+    live = w > 0
+    out[live] = [d / x**y for d, x, y in zip(dev[live].tolist(), w[live].tolist(), e[live].tolist())]
+    return out
+
+
+def sup_quotient(q) -> tuple:
+    """``(value, index)`` of the first strict maximum of q above 0 in row-major order,
+    where a loop keeping ``q > best`` from ``best = 0`` ends; nan never wins."""
+    q = np.append(np.where(q > 0, q, 0.0), 0.0)  # flat, and never empty
+    k = int(q.argmax())
+    return (float(q[k]), k) if q[k] > 0 else (0.0, None)
 
 
 def control_from_pvar(path: SampledGroupPath, p: float) -> Control:

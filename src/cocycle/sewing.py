@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .one_forms import CertificateError, IntegrableReport, TimeVaryingOneForm, integrable_condition_check
-from .paths import Control, SampledGroupPath
+from .paths import Control, SampledGroupPath, holder_quotients, sup_quotient
 
 SCHEDULES = {
     "omega": "omega",
@@ -100,27 +100,21 @@ class SewingResult:
                 break
             length = max(1, length // 2)
 
+    def _window_controls(self, windows) -> tuple:
+        """The windows' deviations from their one-step approximations and their controls."""
+        i, j = np.array(windows, dtype=np.int64).reshape(-1, 2).T
+        return np.array(self.local_estimates(windows)), self.omega.rows(i, j)
+
     def empirical_constant(self, min_len: int = 1) -> float:
         """sup over dyadic windows of deviation / omega^theta."""
-        windows = list(self.dyadic_windows(min_len))
-        best = 0.0
-        for (i, j), dev in zip(windows, self.local_estimates(windows)):
-            w = self.omega(i, j)
-            if w <= 0:
-                continue
-            best = max(best, dev / w**self.theta)
-        return best
+        devs, w = self._window_controls(list(self.dyadic_windows(min_len)))
+        return sup_quotient(holder_quotients(devs, w, self.theta))[0]
 
     def local_slope(self, floor: float = 1e-13) -> float:
         """Log-log regression slope of deviation against the control."""
-        windows = list(self.dyadic_windows())
-        xs, ys = [], []
-        for (i, j), dev in zip(windows, self.local_estimates(windows)):
-            w = self.omega(i, j)
-            if w > 0 and dev > floor:
-                xs.append(np.log(w))
-                ys.append(np.log(dev))
-        return loglog_slope(xs, ys)
+        devs, w = self._window_controls(list(self.dyadic_windows()))
+        kept = [(np.log(x), np.log(dev)) for x, dev in zip(w.tolist(), devs.tolist()) if x > 0 and dev > floor]
+        return loglog_slope([x for x, _ in kept], [y for _, y in kept])
 
     def zeta_bound(self) -> float:
         """2^theta zeta(theta) w(0,T)^theta: the removal-argument envelope."""
@@ -128,10 +122,8 @@ class SewingResult:
 
     def to_obj(self) -> dict:
         """JSON-ready dump: values per grid time plus per-interval estimates."""
-        import numpy as _np
-
         def value_obj(v):
-            if isinstance(v, _np.ndarray):
+            if isinstance(v, np.ndarray):
                 return [float(x) for x in v]
             from .serialize import tensor_to_obj
 
@@ -139,13 +131,10 @@ class SewingResult:
 
         steps = [(j, j + 1) for j in range(len(self.times) - 1)]
         errors = self.local_estimates(steps) if self.one_steps else [None] * len(steps)
+        omegas = self.omega.rows(np.arange(len(steps)), np.arange(1, len(steps) + 1)).tolist()
         intervals = [
-            {
-                "window": [float(self.times[j]), float(self.times[j + 1])],
-                "local_error": err,
-                "omega": self.omega(j, j + 1),
-            }
-            for j, err in enumerate(errors)
+            {"window": [float(self.times[j]), float(self.times[j + 1])], "local_error": err, "omega": w}
+            for j, (err, w) in enumerate(zip(errors, omegas))
         ]
         return {
             "schedule": self.schedule,
@@ -209,22 +198,16 @@ def _omega_guided(leaves, target, omega, theta, N):
     removals = []
     bound = 0.0
     while len(pts) > 2:
-        l = len(pts) - 1
         total_w = omega(pts[0], pts[-1])
-        budget = (2.0 / (l - 1)) * total_w
-        pick = None
-        for pos in range(1, len(pts) - 1):
-            if omega(pts[pos - 1], pts[pos + 1]) <= budget + 1e-15 * max(1.0, total_w):
-                pick = pos
-                break
-        if pick is None:  # superadditivity guarantees one; guard float slack
-            pick = int(
-                np.argmin([omega(pts[p - 1], pts[p + 1]) for p in range(1, len(pts) - 1)])
-            ) + 1
+        budget = (2.0 / (len(pts) - 2)) * total_w + 1e-15 * max(1.0, total_w)
+        merged = omega.rows(pts[:-2], pts[2:]).tolist()  # the window left by removing each interior point
+        fits = [pos for pos, w in enumerate(merged) if w <= budget]
+        # superadditivity guarantees a fit; the argmin guards float slack
+        pick = (fits[0] if fits else int(np.argmin(merged))) + 1
         a, u, b = pts[pick - 1], pts[pick], pts[pick + 1]
         split[(a, b)] = u
         removals.append(u)
-        bound += omega(a, b) ** theta
+        bound += merged[pick - 1] ** theta
         del pts[pick]
 
     def assemble(a, b):
@@ -334,7 +317,7 @@ def refine_and_compare(
     totals = [total_on(ix) for ix in chain]
     meshes, devs = [], []
     for lvl in range(len(chain) - 1):
-        mesh = max(omega(a, b) for a, b in zip(chain[lvl], chain[lvl][1:]))
+        mesh = max(omega.rows(chain[lvl][:-1], chain[lvl][1:]).tolist())
         dev = float(tgt.sigma_max_norms(tgt.sub(totals[lvl], totals[-1])))
         meshes.append(mesh)
         devs.append(dev)

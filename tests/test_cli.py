@@ -255,14 +255,16 @@ def test_golden_signature_output(capsys):
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 # golden stdout files, pinned byte for byte: a 12-point 2-D walk with a
-# degree-1 form (and a quadratic function for compose), and an 8-point
-# level-2 Butcher-character path over d = 2
+# degree-1 form (and a quadratic function for compose), an 8-point level-2
+# Butcher-character path over d = 2, and a 40-point 2-D walk whose certificate
+# quotients sit at rounding level, so an ulp in a power shows in the output
 GOLDEN_RUNS = {
     "integrate_walk": ["integrate", "--form", "{form2}", "--p", "2", "{walk}"],
     "iterate_walk": ["iterate", "--form", "{form2}", "--form2", "{form2}", "--p", "2", "{walk}"],
     "product_walk": ["product", "--form", "{form2}", "--form2", "{form2}", "--p", "2", "{walk}"],
     "compose_walk": ["compose", "--form", "{form2}", "--f", "{func}", "--p", "2", "{walk}"],
     "certify_walk": ["certify", "--form", "{form2}", "--p", "2", "{walk}"],
+    "certify_walk40": ["certify", "--form", "{form2}", "--p", "2", "{walk40}"],
     "pvar_walk": ["pvar", "--p", "2.5", "--depth", "3", "{walk}"],
     "extend_walk": ["extend", "--to-level", "3", "--p", "2.5", "{walk}"],
     "extend_walk_omega": ["extend", "--to-level", "3", "--p", "2.5", "--schedule", "omega", "{walk}"],
@@ -277,7 +279,7 @@ GOLDEN_RUNS = {
 def golden_argv(name):
     files = {k: GOLDEN_DIR / f for k, f in
              (("walk", "walk.csv"), ("form2", "form2.json"), ("butcher", "butcher.json"),
-              ("func", "func.json"))}
+              ("func", "func.json"), ("walk40", "walk40.csv"))}
     return [a.format(**files) for a in GOLDEN_RUNS[name]]
 
 
@@ -286,6 +288,13 @@ def test_golden_command_output(name, capsys):
     code, out, err = run_cli(golden_argv(name), capsys=capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+def test_golden_certificate_overflow(capsys):
+    # w(s,t) ** 400 overflows as a Python float power: an OverflowError, exit 4
+    code, out, err = run_cli(golden_argv("certify_walk") + ["--theta", "400"], capsys=capsys)
+    assert (code, out) == (4, "")
+    assert err == (GOLDEN_DIR / "certify_walk_theta400.err").read_text()
 
 
 @pytest.mark.parametrize("schedule", ["dyadic", "omega"])
@@ -691,3 +700,19 @@ def test_iterate_grows_each_pvar_row_once(capsys, monkeypatch):
         assert store.rows.keys() == shared[0].rows.keys()
         for i, row in store.rows.items():
             assert [x.hex() for x in row.tolist()] == [x.hex() for x in shared[0].rows[i].tolist()]
+
+
+@pytest.mark.parametrize("name", ["certify_walk", "integrate_walk"])
+def test_certificates_query_controls_by_rows(name, capsys, monkeypatch):
+    # every window of a certificate is read through Control.rows; a call is the
+    # one-window query, which these commands never make
+    from cocycle.paths import Control
+
+    calls, rows = [], []
+    call, query = Control.__call__, Control.rows
+    monkeypatch.setattr(Control, "__call__", lambda self, i, j: calls.append((i, j)) or call(self, i, j))
+    monkeypatch.setattr(Control, "rows", lambda self, i, j: rows.append(np.size(i)) or query(self, i, j))
+    code, out, err = run_cli(golden_argv(name), capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+    assert calls == [] and rows
