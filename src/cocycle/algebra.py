@@ -161,6 +161,15 @@ class HopfSystem:
         """Product on raw level lists; leading axes broadcast (batched)."""
         raise NotImplementedError
 
+    def mul_columns(self, a, cols):
+        """Product of one element ``a`` (levels of shape ``(dim_k,)``) with the M
+        elements of ``cols`` held in column layout, ``cols[k]`` of shape
+        ``(dim_k, M)``; the result is in column layout too.  Every coefficient
+        is formed by the operations of :meth:`mul_levels`, in its order, over
+        long contiguous rows instead of short coefficient axes.
+        """
+        raise NotImplementedError
+
     def mul(self, a: GradedTensor, b: GradedTensor) -> GradedTensor:
         self.require_same(a.system)
         self.require_same(b.system)
@@ -341,6 +350,20 @@ class WordSystem(HopfSystem):
             out.append(acc)
         return out
 
+    def mul_columns(self, a, cols):
+        out = []
+        for k in range(self.n + 1):
+            acc = None
+            for i in range(k + 1):
+                col = cols[k - i]
+                term = (a[i][:, None, None] * col).reshape(-1, col.shape[-1])
+                if acc is None:
+                    acc = term
+                else:
+                    acc += term
+            out.append(acc)
+        return out
+
     def homogeneous_norm(self, a):
         levels = getattr(a, "levels", a)
         # np.power, not **: one tensor's sum is a numpy scalar, whose ** rounds
@@ -435,6 +458,15 @@ class ForestSystem(HopfSystem):
             for (j1, j2), (oi, li, ri, c) in self._table[k].items():
                 vals = a[j1][..., li] * b[j2][..., ri] * c
                 np.add.at(acc, (..., oi), vals)
+            out.append(acc)
+        return out
+
+    def mul_columns(self, a, cols):
+        out = [a[0][:, None] * cols[0]]
+        for k in range(1, self.n + 1):
+            acc = a[k][:, None] * cols[0] + a[0][:, None] * cols[k]
+            for (j1, j2), (oi, li, ri, c) in self._table[k].items():
+                np.add.at(acc, oi, a[j1][li][:, None] * cols[j2][ri] * c[:, None])
             out.append(acc)
         return out
 

@@ -130,18 +130,22 @@ def extend_to_level(
     schedule: str = "ltr",
     lift: bool = True,
 ) -> tuple[SampledGroupPath, ExtensionReport]:
-    """Iterate the one-level extension up to level n; reports p-var growth."""
+    """Iterate the one-level extension up to level n; reports p-var growth.
+
+    Each level holds one control, so its p-variation and the next step's
+    sewing read the one DP row store of that path.
+    """
     if n < path.level:
         raise ValueError("target level below the current level")
     report = ExtensionReport(p=p)
     cur = path
+    omega = control_from_pvar(cur, p)
     base_pvar = p_variation(cur, p)
     while cur.level < n:
-        nxt = extend_one_level(cur, p, schedule=schedule, lift=lift)
-        ratio = p_variation(nxt, p) / base_pvar if base_pvar > 0 else None
-        report.levels.append(nxt.level)
-        report.pvar_ratios.append(ratio)
-        cur = nxt
+        cur = extend_one_level(cur, p, omega=omega, schedule=schedule, lift=lift)
+        omega = control_from_pvar(cur, p)
+        report.levels.append(cur.level)
+        report.pvar_ratios.append(p_variation(cur, p) / base_pvar if base_pvar > 0 else None)
     return cur, report
 
 

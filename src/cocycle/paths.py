@@ -8,8 +8,10 @@ is grouplike and increments are multiplicative by construction.
 The levels of the values are stacked once, as ``(N, dim_k)`` arrays, and
 :meth:`SampledGroupPath.increments` is the one batched route to increments.
 p-variation is computed exactly over the sample grid by dynamic programming,
-one row per start index, grown on demand (pairwise increment norms are
-cached).
+one row per start index, grown on demand.  Its table of pairwise increment
+norms is built once per path, one start row at a time against the later
+values held in column layout, and cached; it equals the norms of
+:meth:`SampledGroupPath.increments` bit for bit.
 
 A :class:`Control` answers row queries ``rows(i, j)`` over index arrays; every
 certificate measures Holder quotients ``dev / w(s,t)^e`` with
@@ -125,13 +127,20 @@ class SampledGroupPath:
         return rows
 
     def increment_norms(self) -> np.ndarray:
-        """Homogeneous norms of all pairwise increments (i < j), one row of pairs at a time."""
+        """Homogeneous norms of all pairwise increments (i < j), cached.
+
+        Row i multiplies g_i^{-1} into the later values held in column layout
+        (:meth:`HopfSystem.mul_columns`), so every product runs over long rows;
+        each norm then reads a contiguous row-layout copy, whose sums add in
+        the order of :meth:`increments` followed by ``homogeneous_norm``.
+        """
         if self._dist is None:
             N = len(self)
             dist = np.zeros((N, N))
+            inverse, cols = self.inverse_levels, [np.ascontiguousarray(l.T) for l in self.levels]
             for i in range(N - 1):
-                rest = np.arange(i + 1, N)
-                dist[i, i + 1 :] = self.system.homogeneous_norm(self.increments(i, rest))
+                prod = self.system.mul_columns([l[i] for l in inverse], [c[:, i + 1 :] for c in cols])
+                dist[i, i + 1 :] = self.system.homogeneous_norm([np.ascontiguousarray(c.T) for c in prod])
             self._dist = dist
         return self._dist
 

@@ -8,6 +8,7 @@ are omitted, so equal objects serialize byte-identically.
 from __future__ import annotations
 
 import json
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -23,46 +24,60 @@ class InputError(ValueError):
 
 
 def format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise OverflowError(f"non-finite value {x!r} in output")
-    out = format(float(x), ".17g")
-    return out
+    return format(float(x), ".17g")
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON with fixed float formatting."""
-    pieces: list[str] = []
-    _write(obj, pieces)
-    return "".join(pieces)
+    """Deterministic JSON with fixed float formatting.
+
+    Dicts are objects with ``str`` keys, lists and tuples are arrays, Python
+    and numpy booleans are ``true``/``false``, integers print exactly, floats
+    through :func:`format_float`, ``None`` is ``null``, and any other value is
+    the JSON string of its ``str``.  Each value is written by the writer of its
+    exact type, chosen once per type.
+    """
+    return _dumps(obj)
 
 
-def _write(obj, out: list):
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _write(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _write(v, out)
-        out.append("]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif obj is None:
-        out.append("null")
-    else:
-        out.append(json.dumps(str(obj)))
+def _dumps(obj) -> str:
+    # the recursion, kept apart from the public name so that one document is one dumps call
+    return _writer_for(type(obj))(obj)
+
+
+@lru_cache(maxsize=1024)
+def _json_str(s: str) -> str:
+    """``json.dumps(s)``, once per distinct string: keys and index names repeat."""
+    return json.dumps(s)
+
+
+def _write_dict(obj: dict) -> str:
+    return "{" + ",".join([_json_str(str(k)) + ":" + _dumps(v) for k, v in obj.items()]) + "}"
+
+
+def _write_list(obj) -> str:
+    return "[" + ",".join([_dumps(v) for v in obj]) + "]"
+
+
+@lru_cache(maxsize=None)
+def _writer_for(kind: type):
+    """The writer of values of type ``kind``; bool is tested before int, its base."""
+    if issubclass(kind, dict):
+        return _write_dict
+    if issubclass(kind, (list, tuple)):
+        return _write_list
+    if issubclass(kind, (bool, np.bool_)):
+        return lambda x: "true" if x else "false"
+    if issubclass(kind, (int, np.integer)):
+        return lambda x: str(int(x))
+    if kind is float:
+        return format_float
+    if issubclass(kind, (float, np.floating)):
+        return lambda x: format_float(float(x))
+    if kind is type(None):
+        return lambda x: "null"
+    return lambda x: _json_str(str(x))
 
 
 def parse_index(kind: str, text: str) -> GradedIndex:

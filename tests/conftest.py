@@ -44,6 +44,48 @@ def path_max_dev(p1, p2):
     return max(tensor_max_dev(a, b) for a, b in zip(p1.values, p2.values))
 
 
+def reference_dumps(obj) -> str:
+    """The recursive isinstance writer that ``serialize.dumps`` must match byte for byte
+    (except on numpy booleans, which it wrote as the strings "True" and "False")."""
+    import json
+
+    out = []
+
+    def write(obj):
+        if isinstance(obj, dict):
+            out.append("{")
+            for i, (k, v) in enumerate(obj.items()):
+                if i:
+                    out.append(",")
+                out.append(json.dumps(str(k)))
+                out.append(":")
+                write(v)
+            out.append("}")
+        elif isinstance(obj, (list, tuple)):
+            out.append("[")
+            for i, v in enumerate(obj):
+                if i:
+                    out.append(",")
+                write(v)
+            out.append("]")
+        elif isinstance(obj, bool):
+            out.append("true" if obj else "false")
+        elif isinstance(obj, (int, np.integer)):
+            out.append(str(int(obj)))
+        elif isinstance(obj, (float, np.floating)):
+            x = float(obj)
+            if not np.isfinite(x):
+                raise OverflowError(f"non-finite value {x!r} in output")
+            out.append(format(x, ".17g"))
+        elif obj is None:
+            out.append("null")
+        else:
+            out.append(json.dumps(str(obj)))
+
+    write(obj)
+    return "".join(out)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)

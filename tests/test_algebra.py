@@ -281,6 +281,26 @@ def test_forest_mul_levels_batched_is_exact(shape_a, shape_b, rng):
             assert np.array_equal(batched[k][pos], single.levels[k])
 
 
+@pytest.mark.parametrize(
+    "kind, d, n",
+    [("nilpotent", 1, 4), ("nilpotent", 2, 4), ("nilpotent", 3, 3), ("butcher", 2, 3), ("butcher", 2, 4)],
+)
+@pytest.mark.parametrize("M", [1, 2, 37])
+def test_mul_columns_equals_mul_levels_bytes(kind, d, n, M, rng):
+    # one element against M in column layout: the same bits as the row product
+    s = tensor_system(kind, d, n)
+    a = [rng.normal(size=s.dim(k)) for k in range(n + 1)]
+    b = [rng.normal(size=(M, s.dim(k))) for k in range(n + 1)]
+    cols = [np.ascontiguousarray(l.T) for l in b]
+    rows = s.mul_levels(a, b)
+    for col, row in zip(s.mul_columns(a, cols), rows):
+        assert col.shape == row.shape[::-1]
+        assert np.ascontiguousarray(col.T).tobytes() == row.tobytes()
+    wide = [np.hstack([rng.normal(size=(s.dim(k), 3)), c]) for k, c in enumerate(cols)]
+    for col, row in zip(s.mul_columns(a, [w[:, 3:] for w in wide]), rows):  # strided column views
+        assert np.ascontiguousarray(col.T).tobytes() == row.tobytes()
+
+
 def _series_exp(system, v):
     """The truncated exponential series on tensors, one term at a time (reference)."""
     out, term = system.unit(), system.unit()

@@ -290,6 +290,20 @@ def test_golden_command_output(name, capsys):
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_objects_dump_as_reference_writer(name, capsys, monkeypatch):
+    # the type-dispatch writer gives the bytes of the recursive reference on every golden object
+    from cocycle import cli, serialize
+    from conftest import reference_dumps
+
+    objs = []
+    monkeypatch.setattr(cli, "dumps", lambda obj: objs.append(obj) or serialize.dumps(obj))
+    code, out, err = run_cli(golden_argv(name), capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+    assert len(objs) == 1 and serialize.dumps(objs[0]) == reference_dumps(objs[0]) == out[:-1]
+
+
 def test_golden_certificate_overflow(capsys):
     # w(s,t) ** 400 overflows as a Python float power: an OverflowError, exit 4
     code, out, err = run_cli(golden_argv("certify_walk") + ["--theta", "400"], capsys=capsys)
@@ -700,6 +714,31 @@ def test_iterate_grows_each_pvar_row_once(capsys, monkeypatch):
         assert store.rows.keys() == shared[0].rows.keys()
         for i, row in store.rows.items():
             assert [x.hex() for x in row.tolist()] == [x.hex() for x in shared[0].rows[i].tolist()]
+
+
+@pytest.mark.parametrize(
+    "name, extra, levels",
+    [("extend_walk_omega", [], 2), ("extend_walk_level4", ["--schedule", "omega"], 3)],
+)
+def test_extend_raises_each_level_powers_once(name, extra, levels, capsys, monkeypatch):
+    # each level holds one control: its p-variation and the next step's omega
+    # sewing read one DP row store, so each level's (N, N) powers are built
+    # once; the count keeps no store alive, as the path holds them weakly
+    from cocycle import paths
+
+    built = []
+
+    class Counting(paths._PVarRows):
+        def __call__(self, i, j):
+            if self.powers is None:
+                built.append(len(self.norms()))
+            return super().__call__(i, j)
+
+    monkeypatch.setattr(paths, "_PVarRows", Counting)
+    code, out, err = run_cli(golden_argv(name) + extra, capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+    assert len(built) == levels
 
 
 @pytest.mark.parametrize("name", ["certify_walk", "integrate_walk"])

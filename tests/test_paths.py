@@ -220,14 +220,41 @@ def _walk_and_forest_paths(rng, N):
     return [word, path_from_increments(b3, np.arange(float(N)), incs)]
 
 
+def _norm_table_paths(rng, N):
+    """Word paths at levels 1-4 over d = 1, 2, 3 and forest paths at levels 2-3, N points each."""
+    for d, n in itertools.product((1, 2, 3), (1, 2, 3, 4)):
+        word = signature_piecewise_linear(rng.normal(size=(max(N, 2), d)).cumsum(axis=0) * 0.4, n)
+        yield word.restrict(range(N))
+    for n in (2, 3):
+        b = tensor_system("butcher", 2, n)
+        incs = [random_character(b, rng, scale=0.4) for _ in range(N - 1)]
+        yield path_from_increments(b, np.arange(float(N)), incs)
+
+
+def _off_unit(path, rng):
+    """The path with degree-0 coefficients 1 +- 1e-10, which every inverse accepts."""
+    scalar = 1.0 + 1e-10 * rng.choice([-1.0, 1.0], size=path.levels[0].shape)
+    return SampledGroupPath(path.system, path.times, [scalar] + path.levels[1:])
+
+
 def test_increment_norms_equal_pairwise_reference(rng):
+    # the column-layout table has the bits of one batched increments() row per start
+    for N in (1, 2, 3, 40):
+        for base in _norm_table_paths(rng, N):
+            for path in (base, _off_unit(base, rng)):
+                ref = np.zeros((N, N))
+                for i in range(N - 1):
+                    rest = np.arange(i + 1, N)
+                    ref[i, i + 1 :] = path.system.homogeneous_norm(path.increments(i, rest))
+                assert path.increment_norms().tobytes() == ref.tobytes()
+    # and of the norms of the increments taken one pair at a time
     for path in _walk_and_forest_paths(rng, 11):
         N = len(path)
         ref = np.zeros((N, N))
         for i in range(N):
             for j in range(i + 1, N):
                 ref[i, j] = path.system.homogeneous_norm(path.increment(i, j))
-        assert np.array_equal(path.increment_norms(), ref)
+        assert path.increment_norms().tobytes() == ref.tobytes()
 
 
 def test_chen_residual_equals_per_triple_reference(rng):

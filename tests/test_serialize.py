@@ -6,7 +6,7 @@ import pytest
 from cocycle import serialize
 from cocycle.algebra import tensor_system
 from cocycle.paths import signature_piecewise_linear
-from conftest import path_max_dev, random_character, tensor_max_dev
+from conftest import path_max_dev, random_character, reference_dumps, tensor_max_dev
 
 
 def test_float_formatting_roundtrips():
@@ -24,6 +24,39 @@ def test_non_finite_rejected():
 def test_dumps_is_valid_json():
     obj = {"a": [1, 2.5, None, True], "b": {"c": "text"}}
     assert json.loads(serialize.dumps(obj)) == obj
+
+
+class _Label(str):
+    def __str__(self):
+        return "label:" + super().__str__()
+
+
+def test_dumps_matches_reference_writer():
+    obj = {
+        "nested": ((1, (2.5, [None, ()])), [], {}),
+        "numpy": [np.int64(-7), np.uint8(255), np.float64(0.1), np.float32(0.1), np.float16(-2.5)],
+        "floats": [0.0, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 1 / 3, 2.0**53 + 2, -1e22],
+        "ints": [0, -1, 10**40, True, False],
+        1: "int key", 2.5: "float key", None: "none key", (1, "a"): "tuple key", np.int64(3): "numpy key",
+        "ünï©ødé ✓ \"quoted\"\n": "€ \u2028 \x00 \ud83d",
+        _Label("sub"): [_Label("value"), bytes(b"raw"), complex(1, 2), np.array([1.0, 2.0])],
+    }
+    assert serialize.dumps(obj) == reference_dumps(obj)
+    for leaf in (1.5, np.float64(2.0), "text", None, 3, [np.float32(1e-8)]):
+        assert serialize.dumps(leaf) == reference_dumps(leaf)
+    for bad in (float("inf"), np.float64("-inf"), np.float32("nan")):
+        messages = []
+        for write in (serialize.dumps, reference_dumps):
+            with pytest.raises(OverflowError) as exc:
+                write({"ok": [1.0, {"x": bad}], "later": float("nan")})
+            messages.append(str(exc.value))
+        assert messages == [f"non-finite value {float(bad)!r} in output"] * 2
+
+
+def test_dumps_writes_numpy_booleans_as_json_booleans():
+    assert serialize.dumps({"ok": np.True_, "bad": np.False_}) == '{"ok":true,"bad":false}'
+    assert serialize.dumps([np.bool_(1), True, False]) == "[true,true,false]"
+    assert json.loads(serialize.dumps({"ok": np.True_})) == {"ok": True}
 
 
 def test_tensor_roundtrip_word(rng):
