@@ -15,8 +15,9 @@ diff of two runs:
 (default: the one holding this script).  The commands are every golden run
 of ``tests/test_cli.py`` at the three sewing schedules; ``signature``,
 ``pvar`` and ``extend`` on seeded 2-D walks at N = 200 and 1000, depths 2-4;
-``pvar`` and ``extend`` on a seeded level-3 Butcher-character path; one
-certificate overflow (exit 4) and one refused input (exit 2).  Each command runs in-process through
+``pvar`` and ``extend`` on seeded level-3 Butcher-character paths at N = 60
+(``extend`` at the three schedules) and N = 300; one certificate overflow
+(exit 4) and one refused input (exit 2).  Each command runs in-process through
 ``cocycle.cli.main``; the inputs are written with numpy and ``json`` alone,
 so they do not depend on the checkout.
 """
@@ -99,11 +100,14 @@ def commands(root: pathlib.Path, work: pathlib.Path) -> list:
             out.append((["pvar", "--p", "2.5", "--depth", str(depth), f"{{walk{N}}}"], files))
         for depth, level, p in ((2, 3, 2.5), (3, 4, 2.5), (2, 4, 1.5)):
             out.append((["extend", "--depth", str(depth), "--to-level", str(level), "--p", str(p), f"{{walk{N}}}"], files))
-    files = {"butcher3": work / "butcher3.json"}
+    files = {"butcher3": work / "butcher3.json", "butcher300": work / "butcher300.json"}
     write_butcher(files["butcher3"], seed=3, N=60)
     out.append((["pvar", "--system", "butcher", "--p", "2.5", "{butcher3}"], files))
     for schedule in SCHEDULES:
         out.append((["extend", "--system", "butcher", "--to-level", "4", "--p", "2.5", "--schedule", schedule, "{butcher3}"], files))
+    write_butcher(files["butcher300"], seed=300, N=300)  # its norm tables span many blocks
+    out.append((["pvar", "--system", "butcher", "--p", "2.5", "{butcher300}"], files))
+    out.append((["extend", "--system", "butcher", "--to-level", "4", "--p", "2.5", "{butcher300}"], files))
     return [(" ".join(argv), [a.format(**files) for a in argv]) for argv, files in out]
 
 

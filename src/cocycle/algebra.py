@@ -17,6 +17,7 @@ are cached per ``(kind, d, n)`` and their tables are read-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -100,6 +101,46 @@ def stack_levels(system: "HopfSystem", tensors) -> list:
     ]
 
 
+PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE: longer rows are split in two
+
+
+def coefficient_sums(a) -> np.ndarray:
+    """Sums over the last, non-empty axis of ``a``, each added in the order numpy's
+    add-reduce gives a contiguous row, whatever the layout of ``a``.
+
+    numpy sums a contiguous row of n values from 0.0: one by one below 8 values,
+    in eight interleaved accumulators joined pairwise up to 128 values, and as
+    two such sums of halves (the first a multiple of 8 long) above that.  That
+    order is replayed here one coefficient slice ``a[..., i]`` at a time, over
+    the leading axes, so coefficients held in column layout sum over long rows
+    with the bits of ``np.ascontiguousarray(a).sum(axis=-1)``; numpy's own sum
+    of a transposed view adds one value at a time and rounds differently.
+    """
+    a = np.asarray(a, dtype=float)
+    return _pairwise_sum(a, 0, a.shape[-1]) + 0.0  # numpy's initial 0.0
+
+
+def _pairwise_sum(a, lo: int, n: int):
+    """numpy's pairwise sum of the slices ``a[..., lo : lo + n]``, up to the sign
+    of a zero sum (the caller's initial 0.0 makes it +0.0)."""
+    if n < 8:
+        acc = a[..., lo] if n == 1 else a[..., lo] + a[..., lo + 1]
+        for i in range(lo + 2, lo + n):
+            acc += a[..., i]
+        return acc
+    if n <= PAIRWISE_BLOCK:
+        stop = lo + n - n % 8
+        r = [a[..., lo + j] for j in range(8)]
+        for i in range(lo + 8, stop, 8):
+            r = [x + a[..., i + j] for j, x in enumerate(r)]
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(stop, lo + n):
+            acc += a[..., i]
+        return acc
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(a, lo, half) + _pairwise_sum(a, lo + half, n - half)
+
+
 def has_unit_scalar(levels) -> bool:
     """Whether the degree-0 coefficients are 1, to the tolerance every inverse uses."""
     return bool(np.allclose(np.asarray(levels[0]), 1.0, atol=1e-9))
@@ -162,11 +203,12 @@ class HopfSystem:
         raise NotImplementedError
 
     def mul_columns(self, a, cols):
-        """Product of one element ``a`` (levels of shape ``(dim_k,)``) with the M
-        elements of ``cols`` held in column layout, ``cols[k]`` of shape
-        ``(dim_k, M)``; the result is in column layout too.  Every coefficient
-        is formed by the operations of :meth:`mul_levels`, in its order, over
-        long contiguous rows instead of short coefficient axes.
+        """Products of B left elements ``a`` (levels of shape ``(B, dim_k)``) with
+        each of the M elements of ``cols`` held in column layout, ``cols[k]`` of
+        shape ``(dim_k, M)``; ``out[k]`` has shape ``(B, dim_k, M)``, each left
+        element's products in column layout.  Every coefficient is formed by
+        the operations of :meth:`mul_levels`, in its order, over long
+        contiguous rows instead of short coefficient axes.
         """
         raise NotImplementedError
 
@@ -342,33 +384,32 @@ class WordSystem(HopfSystem):
         n = self.n
         out = []
         for k in range(n + 1):
-            acc = None
+            acc, dim = None, (self._dims[k],)  # no -1 in the reshape: rows may be empty
             for i in range(k + 1):
                 term = a[i][..., :, None] * b[k - i][..., None, :]
-                term = term.reshape(term.shape[:-2] + (-1,))
+                term = term.reshape(term.shape[:-2] + dim)
                 acc = term if acc is None else acc + term
             out.append(acc)
         return out
 
     def mul_columns(self, a, cols):
+        lead, M = a[0].shape[:-1], cols[0].shape[-1]
+        spare = np.empty(math.prod(lead) * self._dims[-1] * M)  # one outer term at a time
         out = []
         for k in range(self.n + 1):
-            acc = None
-            for i in range(k + 1):
-                col = cols[k - i]
-                term = (a[i][:, None, None] * col).reshape(-1, col.shape[-1])
-                if acc is None:
-                    acc = term
-                else:
-                    acc += term
+            acc = (a[0][..., :, None, None] * cols[k]).reshape(lead + (self._dims[k], M))
+            for i in range(1, k + 1):
+                term = spare[: acc.size].reshape(lead + (self._dims[i], self._dims[k - i], M))
+                acc += np.multiply(a[i][..., :, None, None], cols[k - i], out=term).reshape(acc.shape)
             out.append(acc)
         return out
 
     def homogeneous_norm(self, a):
         levels = getattr(a, "levels", a)
-        # np.power, not **: one tensor's sum is a numpy scalar, whose ** rounds
-        # unlike the array power of a batch
-        terms = (np.power(np.abs(levels[k]).sum(axis=-1), 1.0 / k) for k in range(1, self.n + 1))
+        # each level summed in contiguous-row order whatever its layout; np.power,
+        # not **: one tensor's sum is a numpy scalar, whose ** rounds unlike the
+        # array power of a batch
+        terms = (np.power(coefficient_sums(np.abs(levels[k])), 1.0 / k) for k in range(1, self.n + 1))
         return sum(terms, 0.0)
 
     def sigma_max_norm(self, a):
@@ -462,17 +503,18 @@ class ForestSystem(HopfSystem):
         return out
 
     def mul_columns(self, a, cols):
-        out = [a[0][:, None] * cols[0]]
+        out = [a[0][..., :, None] * cols[0]]
         for k in range(1, self.n + 1):
-            acc = a[k][:, None] * cols[0] + a[0][:, None] * cols[k]
+            acc = a[k][..., :, None] * cols[0] + a[0][..., :, None] * cols[k]
             for (j1, j2), (oi, li, ri, c) in self._table[k].items():
-                np.add.at(acc, oi, a[j1][li][:, None] * cols[j2][ri] * c[:, None])
+                vals = a[j1][..., li, None] * cols[j2][ri] * c[:, None]
+                np.add.at(acc, (..., oi, slice(None)), vals)
             out.append(acc)
         return out
 
     def homogeneous_norm(self, a):
         levels = getattr(a, "levels", a)
-        terms = (np.sum(np.abs(levels[k]) ** (1.0 / k), axis=-1) for k in range(1, self.n + 1))
+        terms = (coefficient_sums(np.abs(levels[k]) ** (1.0 / k)) for k in range(1, self.n + 1))
         return sum(terms, 0.0)
 
     def sigma_max_norm(self, a):

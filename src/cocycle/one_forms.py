@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import trees
-from .algebra import ForestSystem, GradedTensor, HopfSystem, WordSystem, stack_levels, tensor_system
+from .algebra import ForestSystem, GradedTensor, HopfSystem, WordSystem, coefficient_sums, stack_levels, tensor_system
 from .paths import CHEN_CHUNK, Control, SampledGroupPath, _running_products, grid_triples, holder_quotients
 from .paths import sup_quotient
 from .shuffles import apply_inverse, ordered_shuffles
@@ -332,7 +332,7 @@ def basis_rows(domain: HopfSystem, k: int) -> list:
 
 def column_norms(M: np.ndarray) -> np.ndarray:
     """ell-1 norm of each column of the last two axes, each summed as ``FlatTarget.norm`` sums a vector."""
-    return np.abs(np.ascontiguousarray(np.swapaxes(M, -1, -2))).sum(axis=-1)
+    return coefficient_sums(np.abs(np.swapaxes(M, -1, -2)))
 
 
 class CallableForm(TimeVaryingOneForm):

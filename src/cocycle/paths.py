@@ -9,8 +9,8 @@ The levels of the values are stacked once, as ``(N, dim_k)`` arrays, and
 :meth:`SampledGroupPath.increments` is the one batched route to increments.
 p-variation is computed exactly over the sample grid by dynamic programming,
 one row per start index, grown on demand.  Its table of pairwise increment
-norms is built once per path, one start row at a time against the later
-values held in column layout, and cached; it equals the norms of
+norms is built once per path, a block of start rows at a time against the
+later values held in column layout, and cached; it equals the norms of
 :meth:`SampledGroupPath.increments` bit for bit.
 
 A :class:`Control` answers row queries ``rows(i, j)`` over index arrays; every
@@ -129,20 +129,45 @@ class SampledGroupPath:
     def increment_norms(self) -> np.ndarray:
         """Homogeneous norms of all pairwise increments (i < j), cached.
 
-        Row i multiplies g_i^{-1} into the later values held in column layout
-        (:meth:`HopfSystem.mul_columns`), so every product runs over long rows;
-        each norm then reads a contiguous row-layout copy, whose sums add in
-        the order of :meth:`increments` followed by ``homogeneous_norm``.
+        The start rows go in blocks [i0, i1).  Each block multiplies its
+        g_i^{-1} into the values j >= i1, held in column layout, in one
+        :meth:`HopfSystem.mul_columns` call, and writes the norms of that
+        rectangle straight into the table; the pairs i0 <= i < j < i1 inside
+        the blocks are gathered into one :meth:`increments` call at the end.
+        Each pair is formed once and no pair j <= i is formed.  Every norm
+        sums its coefficients in contiguous-row order (``coefficient_sums``),
+        so the table has the bits of :meth:`increments` followed by
+        ``homogeneous_norm``, pair by pair.
         """
         if self._dist is None:
             N = len(self)
+            system = self.system
             dist = np.zeros((N, N))
             inverse, cols = self.inverse_levels, [np.ascontiguousarray(l.T) for l in self.levels]
-            for i in range(N - 1):
-                prod = self.system.mul_columns([l[i] for l in inverse], [c[:, i + 1 :] for c in cols])
-                dist[i, i + 1 :] = self.system.homogeneous_norm([np.ascontiguousarray(c.T) for c in prod])
+            width = sum(l.shape[1] for l in self.levels)
+            inner = [np.empty((2, 0), dtype=np.int64)]  # (i, j) rows of the in-block pairs
+            i0 = 0
+            while i0 < N - 1:
+                i1 = min(N, i0 + _norm_block_height(N, width, N - 1 - i0))
+                if i1 < N:
+                    prod = system.mul_columns([l[i0:i1] for l in inverse], [c[:, i1:] for c in cols])
+                    dist[i0:i1, i1:] = system.homogeneous_norm([np.swapaxes(c, -1, -2) for c in prod])
+                inner.append(np.array(np.triu_indices(i1 - i0, 1)) + i0)
+                i0 = i1
+            i, j = np.concatenate(inner, axis=1)
+            dist[i, j] = system.homogeneous_norm(self.increments(i, j))
             self._dist = dist
         return self._dist
+
+
+NORM_BLOCK_SHARE = 8  # a block's product coefficients: at most an eighth of the N^2 table cells
+NORM_BLOCK_FLOOR = 1 << 13  # or 8k (64 KB) on small tables, where per-block overhead outweighs memory
+
+
+def _norm_block_height(N: int, width: int, rest: int) -> int:
+    """Start rows per block of the norm table of N points, with ``width`` coefficients
+    per value and ``rest`` later columns beyond the block's first row."""
+    return max(1, max(N * N // NORM_BLOCK_SHARE, NORM_BLOCK_FLOOR) // (width * rest))
 
 
 def grid_triples(N: int, max_triples: int | None = None):
@@ -270,8 +295,11 @@ class _PVarRows:
         self.rows: dict[int, np.ndarray] = {}
 
     def __call__(self, i, j) -> np.ndarray:
-        if self.powers is None:
-            self.powers = self.norms() ** self.p
+        if self.powers is None:  # only the cells i < j: the DP reads no others
+            norms = self.norms()
+            self.powers = np.zeros(norms.shape)
+            for s in range(len(norms) - 1):
+                self.powers[s, s + 1 :] = norms[s, s + 1 :] ** self.p
         i, j = np.broadcast_arrays(i, j)
         ends = np.full(len(self.powers), -1)
         np.maximum.at(ends, i.ravel(), j.ravel())  # the largest end asked of each start

@@ -114,7 +114,7 @@ def apply_inverse(block: np.ndarray, perm: tuple[int, ...], d: int) -> np.ndarra
     lead = block.shape[:-1]
     arr = block.reshape(lead + (d,) * m)
     axes = tuple(range(len(lead))) + tuple(len(lead) + q for q in perm)
-    return np.ascontiguousarray(arr.transpose(axes)).reshape(lead + (-1,))
+    return np.ascontiguousarray(arr.transpose(axes)).reshape(lead + (d**m,))  # no -1: rows may be empty
 
 
 def extend_fixing_last(perm: tuple[int, ...]) -> tuple[int, ...]:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocycle.algebra import GradedIndex, tensor_system
+from cocycle.algebra import GradedIndex, coefficient_sums, tensor_system
 from conftest import random_character, random_grouplike, tensor_max_dev
 
 
@@ -299,6 +299,64 @@ def test_mul_columns_equals_mul_levels_bytes(kind, d, n, M, rng):
     wide = [np.hstack([rng.normal(size=(s.dim(k), 3)), c]) for k, c in enumerate(cols)]
     for col, row in zip(s.mul_columns(a, [w[:, 3:] for w in wide]), rows):  # strided column views
         assert np.ascontiguousarray(col.T).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, d, n",
+    [("nilpotent", 1, 4), ("nilpotent", 2, 4), ("nilpotent", 3, 3), ("butcher", 2, 3), ("butcher", 2, 4)],
+)
+@pytest.mark.parametrize("B, M", [(1, 1), (1, 37), (5, 1), (4, 37)])
+def test_batched_mul_columns_equals_mul_levels_bytes(kind, d, n, B, M, rng):
+    # B left elements against M in column layout: out[k][b] is the column layout of a[b] * cols
+    s = tensor_system(kind, d, n)
+    a = [rng.normal(size=(B, s.dim(k))) for k in range(n + 1)]
+    b = [rng.normal(size=(M, s.dim(k))) for k in range(n + 1)]
+    cols = [np.ascontiguousarray(l.T) for l in b]
+    prod = s.mul_columns(a, cols)
+    for k in range(n + 1):
+        assert prod[k].shape == (B, s.dim(k), M)
+    for r in range(B):
+        rows = s.mul_levels([l[r] for l in a], b)
+        for col, row in zip(prod, rows):
+            assert np.ascontiguousarray(col[r].T).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("kind, d, n", [("nilpotent", 2, 3), ("nilpotent", 3, 2), ("butcher", 2, 3)])
+def test_products_and_norms_of_zero_rows_are_empty(kind, d, n, rng):
+    # a batch of no elements: every level keeps its coefficient axis, the norms are empty
+    s = tensor_system(kind, d, n)
+    none = [np.zeros((0, s.dim(k))) for k in range(n + 1)]
+    one = [rng.normal(size=s.dim(k)) for k in range(n + 1)]
+    for prod in (s.mul_levels(none, none), s.mul_levels(one, none), s.mul_levels(none, one)):
+        assert [l.shape for l in prod] == [(0, s.dim(k)) for k in range(n + 1)]
+    assert s.homogeneous_norm(none).shape == (0,)
+    assert s.grouplike_residual(none).shape == (0,)
+    cols = [np.zeros((s.dim(k), 0)) for k in range(n + 1)]
+    assert [l.shape for l in s.mul_columns([l[None] for l in one], cols)] == [(1, s.dim(k), 0) for k in range(n + 1)]
+    assert [l.shape for l in s.mul_columns(none, [c[:, None] for c in one])] == [(0, s.dim(k), 1) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("lead", [(), (6,), (3, 5)])
+def test_coefficient_sums_replay_numpy_row_sums(lead, rng):
+    # the bits of numpy's own sum of contiguous rows at every length: sequential below 8,
+    # eight accumulators to 128, halves above; a numpy with another order fails here
+    for n in range(1, 301):
+        x = np.abs(rng.normal(size=lead + (n,))) * 10.0 ** rng.uniform(-12, 12, size=lead + (n,))
+        want = np.asarray(x.sum(axis=-1))
+        got = np.asarray(coefficient_sums(x))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        transposed = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)  # column layout
+        assert np.asarray(coefficient_sums(transposed)).tobytes() == want.tobytes()
+        strided = np.repeat(x, 2, axis=-1)[..., ::2]
+        assert np.asarray(coefficient_sums(strided)).tobytes() == want.tobytes()
+
+
+def test_coefficient_sums_keep_signs_and_zeros(rng):
+    for n in (1, 7, 8, 9, 16, 129, 300):
+        x = rng.normal(size=(40, n)) * 10.0 ** rng.uniform(-12, 12, size=(40, n))
+        x[:5] = np.where(rng.random((5, n)) < 0.5, -0.0, 0.0)  # all-zero rows of mixed sign
+        assert coefficient_sums(x).tobytes() == x.sum(axis=-1).tobytes()
+        assert coefficient_sums(x.T.copy().T).tobytes() == x.sum(axis=-1).tobytes()
 
 
 def _series_exp(system, v):

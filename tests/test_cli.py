@@ -558,6 +558,23 @@ def test_extend_constant_path_null_ratio(capsys, tmp_path):
     assert all(v == [{"index": "()", "value": 1.0}] for v in obj["values"])
 
 
+@pytest.mark.parametrize("system", ["nilpotent", "butcher"])
+@pytest.mark.parametrize("schedule", ["ltr", "dyadic", "omega"])
+def test_extend_one_point_path_null_ratio(system, schedule, capsys, tmp_path):
+    # one value: no increments, so every product and norm table has zero rows
+    f = tmp_path / "one.json"
+    one = {"system": system, "d": 2, "n": 2, "times": [0.5], "values": [[{"index": "()", "value": 1.0}]]}
+    f.write_text(json.dumps(one))
+    code, out, err = run_cli(
+        ["extend", "--system", system, "--to-level", "4", "--p", "2.5", "--schedule", schedule, str(f)], capsys=capsys
+    )
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    jsonschema.validate(obj, schema("path"))
+    assert obj["pvar_ratios"] == [None, None]
+    assert obj["times"] == [0.5] and obj["values"] == [[{"index": "()", "value": 1.0}]]
+
+
 def test_extend_far_from_origin_exit_3(capsys, tmp_path):
     # valid values far from the origin: their one-step increments fail the lift's relative
     # grouplike test by roundoff, and the lift refuses them as a certificate failure

@@ -257,6 +257,75 @@ def test_increment_norms_equal_pairwise_reference(rng):
         assert path.increment_norms().tobytes() == ref.tobytes()
 
 
+def _numpy_norms(system, levels):
+    """Reference homogeneous norms of row-layout levels, each level summed by numpy's own
+    ``sum(axis=-1)`` of contiguous rows."""
+    levels = [np.ascontiguousarray(l) for l in levels]
+    if system.kind == "nilpotent":
+        terms = (np.power(np.abs(levels[k]).sum(axis=-1), 1.0 / k) for k in range(1, system.n + 1))
+    else:
+        terms = (np.sum(np.abs(levels[k]) ** (1.0 / k), axis=-1) for k in range(1, system.n + 1))
+    return sum(terms, 0.0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 40, 97])
+def test_norm_table_blocks_equal_numpy_row_sums(N, rng, monkeypatch):
+    # one start row per block, uneven blocks, one block for the whole table, and the default
+    # heights: every table has the bits of per-row increments summed by numpy itself
+    from cocycle import paths
+
+    heights = [lambda N, width, rest: 1, lambda N, width, rest: 7, lambda N, width, rest: N, paths._norm_block_height]
+    for base in _norm_table_paths(rng, N):
+        for path in (base, _off_unit(base, rng)):
+            ref = np.zeros((N, N))
+            for i in range(N - 1):
+                ref[i, i + 1 :] = _numpy_norms(path.system, path.increments(i, np.arange(i + 1, N)))
+            for height in heights:
+                monkeypatch.setattr(paths, "_norm_block_height", height)
+                fresh = SampledGroupPath(path.system, path.times, path.levels)
+                assert fresh.increment_norms().tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 5])
+def test_increments_of_no_pairs_are_empty(N, rng):
+    none = np.zeros(0, dtype=np.int64)
+    for path in _norm_table_paths(rng, N):
+        incs = path.increments(none, none)
+        assert [l.shape for l in incs] == [(0, path.system.dim(k)) for k in range(path.level + 1)]
+        assert path.system.homogeneous_norm(incs).shape == (0,)
+
+
+@pytest.mark.parametrize("height", [1, 3, 7, None])
+def test_norm_table_forms_each_pair_once(height, monkeypatch):
+    # a level-1 path over d = 1 whose values x_j = j + 1 name their index, so every product
+    # the table forms is read back as the pairs (i, j) it joins
+    from cocycle import paths
+
+    N = 40
+    s = tensor_system("nilpotent", 1, 1)
+    path = SampledGroupPath(s, np.arange(float(N)), [np.ones((N, 1)), np.arange(1.0, N + 1.0)[:, None]])
+    path.inverse_levels  # its own products are not the table's
+    formed = []
+    mul_columns, mul_levels = s.mul_columns, s.mul_levels
+
+    def columns(a, cols):
+        i, j = np.meshgrid(-a[1][..., 0] - 1, cols[1][0] - 1, indexing="ij")
+        formed.extend(zip(i.ravel().tolist(), j.ravel().tolist()))
+        return mul_columns(a, cols)
+
+    def levels(a, b):
+        i, j = np.broadcast_arrays(-a[1][..., 0] - 1, b[1][..., 0] - 1)
+        formed.extend(zip(i.ravel().tolist(), j.ravel().tolist()))
+        return mul_levels(a, b)
+
+    monkeypatch.setattr(s, "mul_columns", columns)
+    monkeypatch.setattr(s, "mul_levels", levels)
+    if height is not None:
+        monkeypatch.setattr(paths, "_norm_block_height", lambda N, width, rest: height)
+    path.increment_norms()
+    assert sorted(formed) == [(float(i), float(j)) for i in range(N) for j in range(i + 1, N)]
+
+
 def test_chen_residual_equals_per_triple_reference(rng):
     for path in _walk_and_forest_paths(rng, 9):
         s = path.system
