@@ -174,7 +174,9 @@ def _load_path(args, depth: int | None = None) -> SampledGroupPath:
             "paths as JSON (no automatic geometric-to-branched translation)"
         )
     times, pts = serialize.read_csv_path(text)
-    return signature_piecewise_linear(pts, depth or args.depth, times=times)
+    depth = depth or args.depth
+    serialize.require_stacked_size("nilpotent", pts.shape[1], depth, len(pts))
+    return signature_piecewise_linear(pts, depth, times=times)
 
 
 def cmd_signature(args) -> dict:
@@ -197,6 +199,7 @@ def cmd_extend(args) -> dict:
     path = _load_path(args)
     if args.to_level < path.level:
         raise InputError(f"--to-level {args.to_level} is below the path level {path.level}")
+    serialize.require_stacked_size(path.system.kind, path.d, args.to_level, len(path))
     tol = max(args.tol, 1e-12) * np.maximum(1.0, path.system.norm(path.levels))
     if not path.system.grouplike_check(path.levels, tol):
         raise InputError("input path values fail the grouplike relations")

@@ -1,14 +1,15 @@
 """Level-raising of finite p-variation group paths, one degree at a time.
 
-Each step sews the level-raising one-form of the current path against
-itself; lower levels are reproduced exactly (the truncation is an algebra
-homomorphism) and the new top level is the unique extension above the Young
-threshold.  With ``lift=True`` every one-step increment is first completed to
-a group element (word system: exp of log one level up; forest system: the
-multiplicative character extension with vanishing new-tree coefficients), so
-extended values stay in the group and signatures are reproduced exactly on
-their own sample grid.  The increments are lifted all at once, as stacked
-levels, and the sewn prefixes are the new path's levels.
+Each step sews the one-step increments of the current path, each completed
+one level up to a group element (word system: exp of log one level up;
+forest system: the multiplicative character extension with vanishing
+new-tree coefficients).  Lower levels are reproduced exactly (the truncation
+is an algebra homomorphism), the new top level is the unique extension above
+the Young threshold, extended values stay in the group, and signatures are
+reproduced exactly on their own sample grid.  The increments are lifted all
+at once, as stacked levels, and the sewn prefixes are the new path's levels.
+The raw extension sews ``one_forms.LevelRaisingForm`` of the path instead,
+with values in the unit-scalar algebra; both have the same limit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import trees
 from .algebra import ForestSystem, GradedTensor, HopfSystem, WordSystem, tensor_system
-from .one_forms import AlgebraTarget, CertificateError, LevelRaisingForm
+from .one_forms import AlgebraTarget, CertificateError
 from .paths import Control, SampledGroupPath, control_from_pvar, p_variation
 from .sewing import sew_generic
 
@@ -88,15 +89,10 @@ def extend_one_level(
     p: float,
     omega: Control | None = None,
     schedule: str = "ltr",
-    lift: bool = True,
     theta: float | None = None,
 ) -> SampledGroupPath:
-    """Raise the truncation level of a path by one, by sewing.
-
-    ``lift=False`` sews the raw level-raising form (zero-padded increments,
-    values in the unit-scalar algebra); ``lift=True`` additionally completes
-    each one-step increment into the group.
-    """
+    """Raise the truncation level of a path by one, by sewing its one-step
+    increments, each completed into the group one level up."""
     m = path.level
     if m + 1 <= p:
         raise CertificateError(
@@ -108,14 +104,8 @@ def extend_one_level(
         omega = control_from_pvar(path, p)
     upper = tensor_system(path.system.kind, path.d, m + 1)
 
-    if lift:
-        def one_steps(i, j):
-            return lift_into_group(path.system, path.increments(i, j))
-    else:
-        form = LevelRaisingForm(path)
-
-        def one_steps(i, j):
-            return form.eval_rows(path, i, i, path.increments(i, j))
+    def one_steps(i, j):
+        return lift_into_group(path.system, path.increments(i, j))
 
     prefixes, _total, _removals, _bound = sew_generic(
         one_steps, len(path), AlgebraTarget(upper), omega, theta, schedule
@@ -128,7 +118,6 @@ def extend_to_level(
     n: int,
     p: float,
     schedule: str = "ltr",
-    lift: bool = True,
 ) -> tuple[SampledGroupPath, ExtensionReport]:
     """Iterate the one-level extension up to level n; reports p-var growth.
 
@@ -142,7 +131,7 @@ def extend_to_level(
     omega = control_from_pvar(cur, p)
     base_pvar = p_variation(cur, p)
     while cur.level < n:
-        cur = extend_one_level(cur, p, omega=omega, schedule=schedule, lift=lift)
+        cur = extend_one_level(cur, p, omega=omega, schedule=schedule)
         omega = control_from_pvar(cur, p)
         report.levels.append(cur.level)
         report.pvar_ratios.append(p_variation(cur, p) / base_pvar if base_pvar > 0 else None)

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import trees
-from .algebra import ForestSystem, GradedTensor, HopfSystem, WordSystem, coefficient_sums, stack_levels, tensor_system
+from .algebra import ForestSystem, GradedTensor, HopfSystem, WordSystem, coefficient_sums, tensor_system
 from .paths import CHEN_CHUNK, Control, SampledGroupPath, _running_products, grid_triples, holder_quotients
 from .paths import sup_quotient
 from .shuffles import apply_inverse, ordered_shuffles
@@ -74,9 +74,6 @@ class FlatTarget:
     def take(self, rows, i):
         return rows[i]
 
-    def rows(self, values, shape) -> np.ndarray:
-        return np.array(values, dtype=float).reshape(shape + (self.dim,))
-
     def prefixes(self, rows) -> np.ndarray:
         return np.cumsum(np.concatenate([self.unit()[None], rows]), axis=0)
 
@@ -114,9 +111,6 @@ class AlgebraTarget:
 
     def take(self, rows, i) -> list:
         return [l[i] for l in rows]
-
-    def rows(self, values, shape) -> list:
-        return [l.reshape(shape + l.shape[1:]) for l in stack_levels(self.system, values)]
 
     def prefixes(self, rows) -> list:
         return _running_products(self.system, rows)
@@ -272,43 +266,36 @@ def holder_remainder_residual(f: LipFunction, samples, R: float | None = None) -
 
 
 class TimeVaryingOneForm:
-    """Per-grid-time linear maps (a, v) -> target, linear in v."""
+    """Per-grid-time linear maps (a, v) -> target, linear in v.
+
+    A form implements :meth:`rows`; every other evaluation reads it.
+    """
 
     def __init__(self, times, domain: HopfSystem, target):
         self.times = np.asarray(times, dtype=float)
         self.domain = domain
         self.target = target
 
-    def eval(self, s: int, a: GradedTensor, v: GradedTensor):
+    def rows(self, s, a, v):
+        """beta_s(a, v) on stacked level lists ``a`` and ``v`` at grid indices ``s``.
+
+        The leading axes of ``s``, ``a`` and ``v`` broadcast; the result is
+        the target's rows over them.
+        """
         raise NotImplementedError
 
+    def eval(self, s: int, a: GradedTensor, v: GradedTensor):
+        """The one-row case of :meth:`rows`, on tensors."""
+        return self.target.value(self.rows(s, a.levels, v.levels))
+
     def eval_rows(self, path: SampledGroupPath, s, a, v):
-        """beta_s(g_a, v) row by row.
-
-        ``s`` and ``a`` index the grid of ``path`` and ``v`` is a list of
-        stacked direction levels; their leading axes broadcast.  The result
-        is the target's rows.  This default calls :meth:`eval` once per row.
-        """
-        shape = np.broadcast_shapes(np.shape(s), np.shape(a), v[0].shape[:-1])
-        s, a = np.broadcast_to(s, shape), np.broadcast_to(a, shape)
-        v = [np.broadcast_to(l, shape + l.shape[-1:]) for l in v]
-        values = [
-            self.eval(int(s[i]), path.values[a[i]], GradedTensor(self.domain, [np.array(l[i]) for l in v]))
-            for i in np.ndindex(shape)
-        ]
-        return self.target.rows(values, shape)
-
-    def eval_pair(self, path: SampledGroupPath, j: int, k: int):
-        """beta_{t_j}(g_{t_j}, g_{t_j, t_k})."""
-        return self.eval(j, path.values[j], path.increment(j, k))
+        """beta_s(g_a, v): :meth:`rows` at the values of ``path`` at grid indices ``a``."""
+        return self.rows(s, [l[a] for l in path.levels], v)
 
     def probe_matrix(self, path: SampledGroupPath, s, a, k: int) -> np.ndarray:
         """Matrices ``(..., dim, dim_k)`` of v_k -> beta_s(g_a, v_k) on the degree-k block (flat targets)."""
         rows = self.eval_rows(path, np.expand_dims(s, -1), np.expand_dims(a, -1), basis_rows(self.domain, k))
         return np.ascontiguousarray(np.swapaxes(rows, -1, -2))
-
-    def base_matrix(self, path: SampledGroupPath, s: int, k: int) -> np.ndarray:
-        return self.probe_matrix(path, s, s, k)
 
     def linearity_residual(self, s: int, a: GradedTensor, v1, v2, c1=0.7, c2=-1.3) -> float:
         lhs = self.eval(s, a, c1 * v1 + c2 * v2)
@@ -335,50 +322,39 @@ def column_norms(M: np.ndarray) -> np.ndarray:
     return coefficient_sums(np.abs(np.swapaxes(M, -1, -2)))
 
 
-class CallableForm(TimeVaryingOneForm):
-    """One-form from a closure ``fn(s, a, v)``."""
-
-    def __init__(self, times, domain, target, fn, base_path=None):
-        super().__init__(times, domain, target)
-        self._fn = fn
-        self.base_path = base_path
-
-    def eval(self, s, a, v):
-        return self._fn(s, a, v)
-
-
 # -- constant cocyclic forms -----------------------------------------------------
 
 
-def constant_form_from_alpha(times, domain: HopfSystem, target, alpha, probes=None):
+class ConstantForm(TimeVaryingOneForm):
     """Time-constant cocyclic form  beta(a, b) = alpha(a)^{-1} alpha(ab).
 
-    ``alpha`` is a linear map from the domain algebra into the target; its
-    image on group elements must lie in the target group (checked on the
-    probe points).
+    ``alpha`` is a linear map from stacked domain levels to the target's rows
+    (a flat target adds: ``alpha(ab) - b_0 alpha(a)``).
     """
-    if probes:
-        for g in probes:
-            if not target.is_member(alpha(g)):
-                raise CertificateError("alpha image leaves the target group", detail=g)
 
-    if isinstance(target, FlatTarget):
+    def __init__(self, times, domain: HopfSystem, target, alpha):
+        super().__init__(times, domain, target)
+        self.alpha = alpha
 
-        def fn(s, a, v):
-            av = domain.mul(a, v)
-            return np.asarray(alpha(av)) - v.scalar() * np.asarray(alpha(a))
-
-    else:
-
-        def fn(s, a, v):
-            return target.value(target.mul(target.inverse(alpha(a)), alpha(domain.mul(a, v))))
-
-    return CallableForm(times, domain, target, fn)
+    def rows(self, s, a, v):
+        av = self.alpha(self.domain.mul_levels(a, v))
+        if isinstance(self.target, FlatTarget):
+            return av - v[0][..., :1] * self.alpha(a)
+        return self.target.mul(self.target.inverse(self.alpha(a)), av)
 
 
-def identity_form(times, domain: HopfSystem):
+def constant_form_from_alpha(times, domain: HopfSystem, target, alpha, probes=None) -> ConstantForm:
+    """The constant form of ``alpha``, whose image on group elements must lie
+    in the target group (checked on the probe tensors)."""
+    for g in probes or ():
+        if not target.is_member(target.value(alpha(g.levels))):
+            raise CertificateError("alpha image leaves the target group", detail=g)
+    return ConstantForm(times, domain, target, alpha)
+
+
+def identity_form(times, domain: HopfSystem) -> ConstantForm:
     """beta(a, b) = b: the form whose integral reproduces the path itself."""
-    return constant_form_from_alpha(times, domain, AlgebraTarget(domain), lambda g: g)
+    return constant_form_from_alpha(times, domain, AlgebraTarget(domain), list)
 
 
 class LevelRaisingForm(TimeVaryingOneForm):
@@ -398,13 +374,15 @@ class LevelRaisingForm(TimeVaryingOneForm):
         padded = path.levels + [np.zeros((len(path), self.upper.dim(m + 1)))]
         self._inv_padded = self.upper.inverse_levels(padded)
 
-    def eval(self, s, a, v):
-        dom, up, m = self.domain, self.upper, self.m
-        gi = GradedTensor(up, [l[s] for l in self._inv_padded])
-        av = dom.mul(a, v)
-        c1 = up.project(up.mul(gi, dom.embed(a, m + 1)), m)
-        c2 = up.project(up.mul(gi, dom.embed(av, m + 1)), m)
-        return up.mul(up.inverse(c1), c2)
+    def rows(self, s, a, v):
+        up, top = self.upper, self.upper.dim(self.m + 1)
+        gi = [l[s] for l in self._inv_padded]
+
+        def seen(x):  # 1_m(g_s^{-1} x), with x padded by a zero top level
+            out = up.mul_levels(gi, [*x, np.zeros(x[0].shape[:-1] + (top,))])
+            return out[:-1] + [np.zeros_like(out[-1])]
+
+        return up.mul_levels(up.inverse_levels(seen(a)), seen(self.domain.mul_levels(a, v)))
 
 
 # -- the polynomial cocyclic lift --------------------------------------------------
@@ -432,7 +410,6 @@ class PolynomialCocyclicForm(TimeVaryingOneForm):
         super().__init__(times, domain, target)
         self.f = f
         self.lift_level = lift_level
-        self._deriv_cache: dict = {}
         self._tuples = self._index_tuples()
 
     def _index_tuples(self):
@@ -444,35 +421,33 @@ class PolynomialCocyclicForm(TimeVaryingOneForm):
                     out.append((k, ls))
         return out
 
-    def _deriv_at(self, x: np.ndarray):
-        key = x.tobytes()
-        hit = self._deriv_cache.get(key)
-        if hit is None:
-            hit = [self.f.deriv(l, x) for l in range(self.lift_level)]
-            if len(self._deriv_cache) > 64:
-                self._deriv_cache.clear()
-            self._deriv_cache[key] = hit
-        return hit
-
-    def eval(self, s, a, v):
-        d = self.domain.d
-        m = self.f.out_shape[0]
-        derivs = self._deriv_at(np.asarray(a.levels[1]))
-        out = v.scalar() * self.target.system.unit()
+    def rows(self, s, a, v):
+        """Each contraction with a derivative is one ``np.matmul`` over the rows,
+        which rounds as ``np.tensordot`` of one row does."""
+        d, m = self.domain.d, self.f.out_shape[0]
+        lead = np.broadcast_shapes(a[1].shape[:-1], v[0].shape[:-1])
+        R = math.prod(lead)
+        X = np.broadcast_to(a[1], lead + (d,)).reshape(R, d)
+        # derivative layout (R, m, direction, slots...) -> (R, m, slots..., direction)
+        derivs = [
+            np.moveaxis(self.f.deriv_rows(l, X), 2, -1).reshape(R, m, d ** (l + 1))
+            for l in range(self.lift_level)
+        ]
+        v = [np.broadcast_to(l, lead + l.shape[-1:]).reshape(R, l.shape[-1]) for l in v]
+        out = [v[0][:, :1] * u for u in self.target.system.unit_levels()]
         for k, ls in self._tuples:
             total = sum(ls) + k
-            block = np.zeros(d**total)
+            block = np.zeros((R, d**total))
             for perm in ordered_shuffles(tuple(l + 1 for l in ls)):
-                block = block + apply_inverse(v.levels[total], perm, d)
+                block = block + apply_inverse(v[total], perm, d)
             # contract factor i (a V^{(l_i+1)} slot group) with (D^{l_i} p)(x)
-            cur = block.reshape(tuple(d ** (l + 1) for l in ls))
+            cur = block.reshape((R,) + tuple(d ** (l + 1) for l in ls))
             for i, l in enumerate(ls):
-                # derivative layout (m, direction, slots...) -> direction last
-                A = np.moveaxis(derivs[l], 1, -1).reshape(m, d ** (l + 1))
-                cur = np.tensordot(A, cur, axes=([1], [i]))
-                cur = np.moveaxis(cur, 0, i)
-            out.levels[k][:] += cur.reshape(-1)
-        return out
+                moved = np.moveaxis(cur, 1 + i, 1)
+                cur = np.matmul(derivs[l], moved.reshape(R, moved.shape[1], math.prod(moved.shape[2:])))
+                cur = np.moveaxis(cur.reshape((R, m) + moved.shape[2:]), 1, 1 + i)
+            out[k] = out[k] + cur.reshape(out[k].shape)
+        return [l.reshape(lead + l.shape[-1:]) for l in out]
 
 
 def polynomial_trace_increment(f: LipFunction, path: SampledGroupPath, s: int, t: int) -> np.ndarray:
@@ -517,20 +492,14 @@ class RecenteredForm(TimeVaryingOneForm):
     def readout(self, s, c):
         return read_matrices(self.stacked, s, c, self.target.dim)
 
-    def _rows(self, s, a, v):
+    def rows(self, s, a, v):
+        """All rows recentred at once (two stacked ``mul_levels``), then read out at once."""
         rows = self.readout(s, self.base_path.recenter_rows(s, a, v))
         if isinstance(self.target, AlgebraTarget):
             # the readout's sums start from +0, so adding v_0 1 afterwards rounds as
             # adding the terms into v_0 1 does, for the v_0 >= 0 of steps and probes
             rows = [v[0][..., :1] * u + r for u, r in zip(self.target.unit(), rows)]
         return rows
-
-    def eval(self, s, a, v):
-        return self.target.value(self._rows(s, a.levels, v.levels))
-
-    def eval_rows(self, path, s, a, v):
-        """All rows recentred at once (two stacked ``mul_levels``), then read out at once."""
-        return self._rows(s, [l[a] for l in path.levels], v)
 
 
 def read_matrices(mats: dict, s, c, dim: int) -> np.ndarray:

@@ -7,6 +7,7 @@ are omitted, so equal objects serialize byte-identically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from functools import lru_cache
@@ -21,6 +22,32 @@ from .paths import SampledGroupPath
 
 class InputError(ValueError):
     """Malformed user input (CSV or JSON); message carries the location."""
+
+
+MAX_STACKED_COEFFICIENTS = 2**26  # 512 MiB of float64
+
+
+def require_stacked_size(kind: str, d: int, n: int, rows: int):
+    """Refuse ``rows`` points at level n of the (kind, d) system whose stacked
+    levels hold more than ``MAX_STACKED_COEFFICIENTS`` coefficients.
+
+    Counted before any system is built: word dimensions are d^k, forest
+    dimensions come from :func:`trees.forest_counts`; a deep level is refused
+    by its number of degrees alone, without counting them one by one.
+    """
+    size = rows * (n + 1)  # each dimension is at least one, and is one for words at d = 1
+    if size <= MAX_STACKED_COEFFICIENTS and not (kind == "nilpotent" and d == 1):
+        dims = trees.forest_counts(d) if kind == "butcher" else (d**k for k in itertools.count())
+        size = 0
+        for dim in itertools.islice(dims, n + 1):
+            size += rows * dim
+            if size > MAX_STACKED_COEFFICIENTS:
+                break
+    if size > MAX_STACKED_COEFFICIENTS:
+        raise InputError(
+            f"{rows} points at level {n} of the {kind} system with d = {d} hold more than "
+            f"{MAX_STACKED_COEFFICIENTS} stacked coefficients"
+        )
 
 
 def format_float(x: float) -> str:
@@ -180,8 +207,10 @@ def path_to_obj(path: SampledGroupPath) -> dict:
 
 def path_from_obj(obj: dict) -> SampledGroupPath:
     try:
-        system = tensor_system(obj["system"], int(obj["d"]), int(obj["n"]))
+        kind, d, n = obj["system"], int(obj["d"]), int(obj["n"])
         values = list(obj["values"])
+        require_stacked_size(kind, d, n, len(values))
+        system = tensor_system(kind, d, n)
         levels = _zero_levels(system, len(values))
         for i, coeffs in enumerate(values):
             _coeffs_from_obj(system, coeffs, levels, i)

@@ -12,6 +12,7 @@ On forests the coproduct is multiplicative.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 Tree = tuple  # (label, tuple[Tree, ...])
@@ -115,6 +116,22 @@ def forests_by_degree(d: int, n: int) -> tuple[tuple[Forest, ...], ...]:
         fill(k, None, ())
         forests_k[k] = sorted(acc)
     return tuple(tuple(f) for f in forests_k)
+
+
+def forest_counts(d: int):
+    """The number of forests of each degree 0, 1, 2, ... over labels 1..d, by recurrence.
+
+    A tree of degree k + 1 is a labelled root over a forest of degree k, and
+    forests (multisets of trees) are the Euler transform of trees:
+    ``k f_k = sum_{j=1..k} c_j f_{k-j}`` with ``c_j = sum_{i | j} i t_i``.
+    """
+    f, t, c = [1], [0], [0]
+    yield 1
+    for k in itertools.count(1):
+        t.append(d * f[k - 1])
+        c.append(sum(i * t[i] for i in range(1, k + 1) if k % i == 0))
+        f.append(sum(c[j] * f[k - j] for j in range(1, k + 1)) // k)
+        yield f[k]
 
 
 @lru_cache(maxsize=None)

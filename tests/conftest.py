@@ -1,4 +1,7 @@
+import os
 import pathlib
+import resource
+import subprocess
 import sys
 
 import numpy as np
@@ -8,6 +11,25 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+
+
+CHILD_ADDRESS_SPACE = 2 << 30  # bytes
+CHILD_TIMEOUT = 20  # seconds
+
+
+def run_cli_bounded(argv) -> subprocess.CompletedProcess:
+    """``python -m cocycle.cli argv`` in a child process capped at 2 GiB of address
+    space and 20 s, so a runaway allocation or loop fails the test instead of
+    hanging the suite; ``subprocess.TimeoutExpired`` is raised on the timeout."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "cocycle.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=CHILD_TIMEOUT, preexec_fn=cap, env=env,
+    )
 
 
 def random_grouplike(system, rng, factors=3, scale=0.6):

@@ -324,13 +324,12 @@ def test_schedule_keeps_golden_output(name, schedule, capsys):
 
 
 def test_integrate_reads_recentred_forms_in_rows(capsys, monkeypatch):
-    # the certificates and the sewing of integrate go through eval_rows only
-    from cocycle.one_forms import RecenteredForm, TimeVaryingOneForm
+    # the certificates and the sewing of integrate go through eval_rows only, never the per-row eval
+    from cocycle.one_forms import TimeVaryingOneForm
 
     calls = []
-    for cls, name in ((RecenteredForm, "eval"), (TimeVaryingOneForm, "eval_pair")):
-        original = getattr(cls, name)
-        monkeypatch.setattr(cls, name, lambda *args, f=original: calls.append(args[1:]) or f(*args))
+    original = TimeVaryingOneForm.eval
+    monkeypatch.setattr(TimeVaryingOneForm, "eval", lambda *args: calls.append(args[1:]) or original(*args))
     code, out, err = run_cli(golden_argv("integrate_walk"), capsys=capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / "integrate_walk.json").read_text()

@@ -221,11 +221,9 @@ class TestProduct:
 
 
 def _zero_form(g, dim):
-    from cocycle.one_forms import CallableForm, FlatTarget
+    from cocycle.one_forms import FlatTarget, constant_form_from_alpha
 
-    return CallableForm(
-        g.times, g.system, FlatTarget(dim), lambda s, a, v: np.zeros(dim), base_path=g
-    )
+    return constant_form_from_alpha(g.times, g.system, FlatTarget(dim), lambda l: np.zeros(l[0].shape[:-1] + (dim,)))
 
 
 class TestCompose:
@@ -555,20 +553,23 @@ def test_base_matrices_belong_to_their_path(rng, monkeypatch):
     # every path shares one id: a cache keyed by id(path) would hand the
     # second path the first path's matrices
     import cocycle.one_forms
-    from cocycle.one_forms import CallableForm, FlatTarget
+    from cocycle.one_forms import FlatTarget, TimeVaryingOneForm
+
+    class SecondLevelForm(TimeVaryingOneForm):
+        """beta_s(a, v) = pi_2(a v)."""
+
+        def rows(self, s, a, v):
+            return self.domain.mul_levels(a, v)[2]
 
     monkeypatch.setattr(cocycle.one_forms, "id", lambda _: 0, raising=False)
     _, g1, om1 = wiggly_base(rng)
     _, g2, om2 = wiggly_base(rng)
     dom = g1.system
-    form = CallableForm(
-        g1.times, dom, FlatTarget(dom.dim(2)),
-        lambda s, a, v: np.array(dom.mul(a, v).levels[2]),
-    )
+    form = SecondLevelForm(g1.times, dom, FlatTarget(dom.dim(2)))
     s = 5
     for g in (g1, g2):
         want = np.kron(g.values[s].levels[1].reshape(-1, 1), np.eye(dom.dim(1)))
-        assert np.allclose(form.base_matrix(g, s, 1), want, atol=1e-14)
+        assert np.allclose(form.probe_matrix(g, s, s, 1), want, atol=1e-14)
     d1 = DominatedPath.from_form(g1, form, om1, 1.5, 2.0)
     d2 = DominatedPath.from_form(g2, form, om2, 1.5, 2.0)
     for d in (d1, d2):

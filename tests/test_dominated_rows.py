@@ -125,7 +125,7 @@ def test_calculus_chain_reads_forms_in_rows(eval_calls):
 
 def ref_matrices(d, degrees) -> list:
     """Per time s: ``{k: matrix of v_k -> beta_s(g_s, v_k)}``, one probe per (s, k)."""
-    return [{k: d.form.base_matrix(d.base, s, k) for k in degrees} for s in range(len(d.base))]
+    return [{k: d.form.probe_matrix(d.base, s, s, k) for k in degrees} for s in range(len(d.base))]
 
 
 def ref_apply_matrices(mats, c, dim):

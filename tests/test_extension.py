@@ -9,8 +9,9 @@ from cocycle.extension import (
     lift_norm_ratio,
     projection_residual,
 )
-from cocycle.one_forms import CertificateError
-from cocycle.paths import chen_residual, signature_piecewise_linear
+from cocycle.one_forms import CertificateError, LevelRaisingForm
+from cocycle.paths import SampledGroupPath, chen_residual, control_from_pvar, signature_piecewise_linear
+from cocycle.sewing import sew
 from conftest import path_max_dev, random_character, tensor_max_dev
 
 
@@ -89,7 +90,9 @@ def test_raw_route_projects_and_converges(zigzag):
                 newt.append(ts[i] + frac * (ts[i + 1] - ts[i]))
         g2 = signature_piecewise_linear(np.array(newp), 2, times=np.array(newt))
         truth = signature_piecewise_linear(np.array(newp), 3, times=np.array(newt))
-        raw = extend_one_level(g2, 1.5, lift=False)
+        res = sew(LevelRaisingForm(g2), g2, control_from_pvar(g2, 1.5), theta=2.0, check=True)
+        assert res.certificate.ok
+        raw = SampledGroupPath(tensor_system("nilpotent", 2, 3), g2.times, res.prefixes)
         assert projection_residual(raw, g2) < 1e-12
         devs.append(path_max_dev(raw, truth))
     assert devs[1] < 0.5 * devs[0] and devs[2] < 0.5 * devs[1]

@@ -46,7 +46,7 @@ def test_constant_form_sews_to_one_step(rng):
     form = constant_form_from_alpha(g.times, g.system, AlgebraTarget(s2), lambda x: x)
     for schedule in ("ltr", "dyadic", "omega"):
         res = sew(form, g, om, theta=2.0, schedule=schedule)
-        dev = (res.value(0, 16) - form.eval_pair(g, 0, 16)).norm()
+        dev = (res.value(0, 16) - form.eval(0, g.values[0], g.increment(0, 16))).norm()
         assert dev < 1e-13
         assert res.local_estimate(0, 16) < 1e-13
 
@@ -216,18 +216,3 @@ def test_result_json_dump(smooth_path):
     assert len(obj["intervals"]) == len(smooth_path) - 1
     assert all(iv["local_error"] is not None for iv in obj["intervals"])
     serialize.dumps(obj)  # must be serializable with the fixed float format
-
-
-def test_sew_of_level_raising_form_is_the_raw_extension(rng):
-    from cocycle.extension import extend_one_level
-    from cocycle.one_forms import LevelRaisingForm
-    from cocycle.paths import signature_piecewise_linear as spl
-
-    pts = rng.normal(size=(8, 2)).cumsum(axis=0) * 0.4
-    g = spl(pts, 2)
-    om = control_from_pvar(g, 1.5)
-    res = sew(LevelRaisingForm(g), g, om, theta=2.0, check=True)
-    raw = extend_one_level(g, p=1.5, lift=False)
-    for a, b in zip(res.values, raw.values):
-        assert tensor_max_dev(a, b) < 1e-13
-    assert res.certificate.ok
