@@ -14,7 +14,8 @@ diff of two runs:
 ``--root`` names the checkout whose ``src/`` and ``tests/golden/`` are used
 (default: the one holding this script).  The commands are every golden run
 of ``tests/test_cli.py`` at the three sewing schedules; ``signature``,
-``pvar`` and ``extend`` on seeded 2-D walks at N = 200 and 1000, depths 2-4;
+``pvar`` and ``extend`` on seeded 2-D walks at N = 200 and 1000, depths 2-4,
+and ``signature`` at depth 5 and ``extend`` to level 5 at N = 200;
 ``pvar`` and ``extend`` on seeded level-3 Butcher-character paths at N = 60
 (``extend`` at the three schedules) and N = 300; one certificate overflow
 (exit 4) and one refused input (exit 2).  Each command runs in-process through
@@ -100,6 +101,9 @@ def commands(root: pathlib.Path, work: pathlib.Path) -> list:
             out.append((["pvar", "--p", "2.5", "--depth", str(depth), f"{{walk{N}}}"], files))
         for depth, level, p in ((2, 3, 2.5), (3, 4, 2.5), (2, 4, 1.5)):
             out.append((["extend", "--depth", str(depth), "--to-level", str(level), "--p", str(p), f"{{walk{N}}}"], files))
+    # the deepest levels on the small walk, where each prefix level sums the most terms
+    out.append((["signature", "--depth", "5", "{walk200}"], files))
+    out.append((["extend", "--depth", "3", "--to-level", "5", "--p", "2.5", "{walk200}"], files))
     files = {"butcher3": work / "butcher3.json", "butcher300": work / "butcher300.json"}
     write_butcher(files["butcher3"], seed=3, N=60)
     out.append((["pvar", "--system", "butcher", "--p", "2.5", "{butcher3}"], files))

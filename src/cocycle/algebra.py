@@ -217,6 +217,18 @@ class HopfSystem:
         self.require_same(b.system)
         return GradedTensor(self, self.mul_levels(a.levels, b.levels))
 
+    def running_products(self, steps) -> list:
+        """Stacked levels of g_0 = 1, g_{j+1} = g_j s_j for the stacked step levels ``steps``."""
+        N = steps[0].shape[0] + 1
+        levels = [np.empty((N, self.dim(k))) for k in range(self.n + 1)]
+        g = self.unit_levels()
+        for j in range(N):
+            if j:
+                g = self.mul_levels(g, [l[j - 1] for l in steps])
+            for l, row in zip(levels, g):
+                l[j] = row
+        return levels
+
     def inverse_levels(self, levels):
         if not has_unit_scalar(levels):
             raise ValueError("inverse needs degree-0 coefficient 1")
@@ -404,6 +416,33 @@ class WordSystem(HopfSystem):
             out.append(acc)
         return out
 
+    def running_products(self, steps) -> list:
+        """The prefixes of the row loop a level at a time, when every step scalar is 1.
+
+        Level k of g_j s_j adds, in :meth:`mul_levels`' order, ``1 * s_k``, the
+        terms ``g_i x s_{k-i}`` for 0 < i < k, and last ``g_k * 1 = g_k``.  IEEE
+        addition commutes, so each row of level k is the row before it plus a
+        term read from lower levels only: the terms of all rows are formed at
+        once, then summed down the rows by one sequential ``np.add.accumulate``,
+        which gives the bits of the loop.  Other steps take the loop.
+        """
+        if not np.all(steps[0] == 1.0):
+            return super().running_products(steps)
+        N = steps[0].shape[0] + 1  # no -1 in the reshapes: there may be no steps
+        levels = [np.ones((N, 1))]
+        spare = np.empty((N - 1) * self._dims[-1])  # one outer term at a time
+        for k in range(1, self.n + 1):
+            level = np.empty((N, self._dims[k]))
+            level[0] = 0.0
+            acc = level[1:]
+            acc[...] = steps[k]
+            for i in range(1, k):
+                term = spare[: acc.size].reshape(N - 1, self._dims[i], self._dims[k - i])
+                acc += np.multiply(levels[i][:-1, :, None], steps[k - i][:, None, :], out=term).reshape(acc.shape)
+            np.add.accumulate(level, axis=0, out=level)
+            levels.append(level)
+        return levels
+
     def homogeneous_norm(self, a):
         levels = getattr(a, "levels", a)
         # each level summed in contiguous-row order whatever its layout; np.power,
@@ -446,30 +485,25 @@ class ForestSystem(HopfSystem):
         self._merge = {}
 
     def _build_table(self):
-        """Per degree k >= 1: reduced-coproduct rows grouped by factor degrees.
+        """Per degree k >= 1: reduced-coproduct rows grouped by factor degrees, in
+        one pass that also keeps the longest row count in ``_max_row``.
 
         table[k][(j1, j2)] = (out_idx, left_idx, right_idx, count) arrays.
         """
+        place = {f: (k, i) for k, pos in enumerate(self._pos) for f, i in pos.items()}
         table: list[dict] = [dict() for _ in range(self.n + 1)]
-        self._row_counts = [0] * sum(len(level) for level in self._forests)
-        flat = 0
+        self._max_row = 0  # for the structural bound
         for k in range(1, self.n + 1):
             rows: dict[tuple[int, int], list] = {}
             for out_idx, f in enumerate(self._forests[k]):
                 reduced = trees.reduced_coproduct(f)
+                self._max_row = max(self._max_row, len(reduced))
                 for left, right, c in reduced:
-                    j1, j2 = trees.forest_size(left), trees.forest_size(right)
-                    rows.setdefault((j1, j2), []).append(
-                        (out_idx, self._pos[j1][left], self._pos[j2][right], c)
-                    )
+                    (j1, li), (j2, ri) = place[left], place[right]
+                    rows.setdefault((j1, j2), []).append((out_idx, li, ri, c))
             for key, lst in rows.items():
                 arr = np.array(lst, dtype=np.int64)
                 table[k][key] = (arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3].astype(float))
-        # per-index reduced term counts, for the structural bound
-        self._max_row = 0
-        for k in range(1, self.n + 1):
-            for f in self._forests[k]:
-                self._max_row = max(self._max_row, len(trees.reduced_coproduct(f)))
         return table
 
     def dim(self, k: int) -> int:

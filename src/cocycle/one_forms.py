@@ -24,7 +24,7 @@ import numpy as np
 
 from . import trees
 from .algebra import ForestSystem, GradedTensor, HopfSystem, WordSystem, coefficient_sums, tensor_system
-from .paths import CHEN_CHUNK, Control, SampledGroupPath, _running_products, grid_triples, holder_quotients
+from .paths import CHEN_CHUNK, Control, SampledGroupPath, grid_triples, holder_quotients
 from .paths import sup_quotient
 from .shuffles import apply_inverse, ordered_shuffles
 
@@ -113,7 +113,7 @@ class AlgebraTarget:
         return [l[i] for l in rows]
 
     def prefixes(self, rows) -> list:
-        return _running_products(self.system, rows)
+        return self.system.running_products(rows)
 
     def is_member(self, x, tol=1e-9) -> bool:
         return abs(x.scalar() - 1.0) <= tol

@@ -239,8 +239,8 @@ def signature_of_segment(v, n: int) -> GradedTensor:
 def signature_piecewise_linear(points, n: int, times=None) -> SampledGroupPath:
     """Running step-n signature of a piecewise-linear path, by Chen products.
 
-    The segment exponentials are one stacked series; the running product
-    stays sequential, one row at a time.
+    The segment exponentials are one stacked series, and their running
+    products are formed a level at a time (:meth:`HopfSystem.running_products`).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -255,25 +255,12 @@ def signature_piecewise_linear(points, n: int, times=None) -> SampledGroupPath:
     lift = [np.zeros((steps.shape[0], system.dim(k))) for k in range(n + 1)]
     if n >= 1:
         lift[1] = steps
-    return SampledGroupPath(system, times, _running_products(system, system.exp_levels(lift)))
+    return SampledGroupPath(system, times, system.running_products(system.exp_levels(lift)))
 
 
 def path_from_increments(system: HopfSystem, times, step_values) -> SampledGroupPath:
     """Running products of per-interval group increments, starting at the unit."""
-    return SampledGroupPath(system, times, _running_products(system, stack_levels(system, step_values)))
-
-
-def _running_products(system: HopfSystem, steps) -> list:
-    """Stacked levels of g_0 = 1, g_{j+1} = g_j s_j for the stacked step levels ``steps``."""
-    N = steps[0].shape[0] + 1
-    levels = [np.empty((N, system.dim(k))) for k in range(system.n + 1)]
-    g = system.unit_levels()
-    for j in range(N):
-        if j:
-            g = system.mul_levels(g, [l[j - 1] for l in steps])
-        for l, row in zip(levels, g):
-            l[j] = row
-    return levels
+    return SampledGroupPath(system, times, system.running_products(stack_levels(system, step_values)))
 
 
 # -- p-variation ---------------------------------------------------------------

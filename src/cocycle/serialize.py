@@ -239,26 +239,34 @@ def read_csv_path(text: str) -> tuple[np.ndarray, np.ndarray]:
         if name != f"x{j}":
             raise InputError(f"line 1: column {j + 1} must be x{j}, got {name!r}")
     d = len(header) - 1
-    times, rows = [], []
+    rows = []
     for i, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
-        if len(parts) != d + 1:
-            raise InputError(f"line {i}: expected {d + 1} fields, got {len(parts)}")
         try:
-            vals = [float(x) for x in parts]
+            if len(parts) != d + 1:
+                raise ValueError(f"expected {d + 1} fields, got {len(parts)}")
+            rows.append([float(x) for x in parts])
         except ValueError as exc:
+            _finite_table(rows, d)  # a non-finite value on an earlier line is the first fault
             raise InputError(f"line {i}: {exc}") from exc
-        if not np.all(np.isfinite(vals)):
-            raise InputError(f"line {i}: non-finite value")
-        times.append(vals[0])
-        rows.append(vals[1:])
-    times = np.array(times)
+    table = _finite_table(rows, d)
+    times = np.ascontiguousarray(table[:, 0])
     if not np.all(np.diff(times) > 0):
         bad = int(np.argmax(~(np.diff(times) > 0))) + 3
         raise InputError(f"line {bad}: times must be strictly increasing")
     if len(times) < 2:
         raise InputError("need at least two samples")
-    return times, np.array(rows)
+    return times, np.ascontiguousarray(table[:, 1:])
+
+
+def _finite_table(rows, d: int) -> np.ndarray:
+    """The parsed CSV data rows as one ``(M, d + 1)`` array, refusing the first
+    line (data starts on line 2) that holds a non-finite value."""
+    table = np.array(rows, dtype=float).reshape(len(rows), d + 1)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise InputError(f"line {int(bad[0]) + 2}: non-finite value")
+    return table
 
 
 def one_form_from_obj(obj: dict) -> LipFunction:

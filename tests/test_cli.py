@@ -181,6 +181,17 @@ def test_malformed_csv_exit_2(capsys):
     assert "line 2" in payload["message"]
 
 
+@pytest.mark.parametrize("line5", ["3,oops", "3,3,3"], ids=["parse", "fields"])
+def test_csv_first_bad_line_wins(line5, capsys):
+    """A non-finite line 3 is reported before a malformed line 5, as a line-by-line reader would."""
+    code, out, err = run_cli(["signature"], stdin_text=f"t,x1\n0,0\n1,nan\n2,2\n{line5}\n", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InputError"
+    assert payload["message"] == "line 3: non-finite value"
+
+
 def test_malformed_json_exit_2(capsys, tmp_path):
     f = tmp_path / "bad.json"
     f.write_text("{not json")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle import oracles
-from cocycle.algebra import tensor_system
+from cocycle.algebra import WordSystem, tensor_system
 from cocycle.paths import (
     SampledGroupPath,
     chen_residual,
@@ -302,7 +302,7 @@ def test_norm_table_forms_each_pair_once(height, monkeypatch):
     from cocycle import paths
 
     N = 40
-    s = tensor_system("nilpotent", 1, 1)
+    s = WordSystem(1, 1)  # not the cached system: undoing the instance patches below leaves bound methods
     path = SampledGroupPath(s, np.arange(float(N)), [np.ones((N, 1)), np.arange(1.0, N + 1.0)[:, None]])
     path.inverse_levels  # its own products are not the table's
     formed = []
