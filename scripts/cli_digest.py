@@ -13,12 +13,12 @@ diff of two runs:
 
 ``--root`` names the checkout whose ``src/`` and ``tests/golden/`` are used
 (default: the one holding this script).  The commands are every golden run
-of ``tests/test_cli.py`` at the three sewing schedules; ``signature``,
-``pvar`` and ``extend`` on seeded 2-D walks at N = 200 and 1000, depths 2-4,
-and ``signature`` at depth 5 and ``extend`` to level 5 at N = 200;
-``pvar`` and ``extend`` on seeded level-3 Butcher-character paths at N = 60
-(``extend`` at the three schedules) and N = 300; one certificate overflow
-(exit 4) and one refused input (exit 2).  Each command runs in-process through
+of ``tests/test_cli.py``; ``signature``, ``pvar`` and ``extend`` on seeded
+2-D walks at N = 200 and 1000, depths 2-4, and ``signature`` at depth 5 and
+``extend`` to level 5 at N = 200; ``pvar`` and ``extend`` on seeded level-3
+Butcher-character paths at N = 60 and N = 300; one certificate overflow
+(exit 4), one refused input and two refused options (exit 2; the options
+follow the input, so the refusal names no file).  Each command runs in-process through
 ``cocycle.cli.main``; the inputs are written with numpy and ``json`` alone,
 so they do not depend on the checkout.
 """
@@ -37,7 +37,6 @@ import numpy as np
 
 GOLDEN_FILES = {"walk": "walk.csv", "form2": "form2.json", "butcher": "butcher.json",
                 "func": "func.json", "walk40": "walk40.csv"}
-SCHEDULES = ("ltr", "dyadic", "omega")
 
 
 def golden_runs(root: pathlib.Path) -> dict:
@@ -89,10 +88,11 @@ def commands(root: pathlib.Path, work: pathlib.Path) -> list:
     out = []
     runs = golden_runs(root)
     for name in sorted(runs):
-        for schedule in SCHEDULES:
-            out.append((runs[name] + ["--schedule", schedule], files))
+        out.append((runs[name], files))
     out.append((runs["certify_walk"] + ["--theta", "400"], files))
     out.append((runs["extend_walk"][:2] + ["1", "{walk}"], files))  # below the path level: exit 2
+    out.append((["signature", "{walk}", "--schedule", "ltr"], files))  # options no command reads: exit 2
+    out.append((["pvar", "{walk}", "--theta", "2"], files))
     files = {f"walk{N}": work / f"walk{N}.csv" for N in (200, 1000)}
     for N in (200, 1000):
         write_walk(files[f"walk{N}"], seed=N, N=N)
@@ -107,8 +107,7 @@ def commands(root: pathlib.Path, work: pathlib.Path) -> list:
     files = {"butcher3": work / "butcher3.json", "butcher300": work / "butcher300.json"}
     write_butcher(files["butcher3"], seed=3, N=60)
     out.append((["pvar", "--system", "butcher", "--p", "2.5", "{butcher3}"], files))
-    for schedule in SCHEDULES:
-        out.append((["extend", "--system", "butcher", "--to-level", "4", "--p", "2.5", "--schedule", schedule, "{butcher3}"], files))
+    out.append((["extend", "--system", "butcher", "--to-level", "4", "--p", "2.5", "{butcher3}"], files))
     write_butcher(files["butcher300"], seed=300, N=300)  # its norm tables span many blocks
     out.append((["pvar", "--system", "butcher", "--p", "2.5", "{butcher300}"], files))
     out.append((["extend", "--system", "butcher", "--to-level", "4", "--p", "2.5", "{butcher300}"], files))

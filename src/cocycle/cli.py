@@ -39,9 +39,8 @@ CERTIFICATE_GRID_CAP = 48  # full slowly-varying certificates only below this
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             obj = args.run(args)
     except InputError as exc:
@@ -66,70 +65,50 @@ def _fail(exc: Exception, code: int):
     sys.stderr.write(dumps(payload) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are malformed input: one JSON document and exit 2, like every refusal."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 @functools.cache  # one parser per process: a fresh one per call leaves cyclic garbage behind
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cocycle", description=__doc__)
+    parser = _Parser(prog="cocycle", description=__doc__)
     sub = parser.add_subparsers(required=True, dest="command")
 
-    def common(p, depth=True):
-        p.add_argument("input", nargs="?", default="-", help="CSV/JSON input file (default stdin)")
-        if depth:
-            p.add_argument("--depth", type=int, default=2, help="signature truncation level")
-        p.add_argument("--p", type=float, default=2.0, help="p-variation exponent")
-        p.add_argument("--theta", type=float, default=None, help="sewing exponent override")
-        p.add_argument("--schedule", choices=["omega", "dyadic", "ltr"], default="ltr")
-        p.add_argument(
+    def command(name, run, help, p=True, coupling=False):
+        """A subcommand with the options it reads: --p where a p-variation enters,
+        --theta and --form on the couplings."""
+        c = sub.add_parser(name, help=help)
+        c.add_argument("input", nargs="?", default="-", help="CSV/JSON input file (default stdin)")
+        c.add_argument("--depth", type=int, default=2, help="signature truncation level")
+        if p:
+            c.add_argument("--p", type=float, default=2.0, help="p-variation exponent")
+        if coupling:
+            c.add_argument("--theta", type=float, default=None, help="sewing exponent override")
+            c.add_argument("--form", required=True, help="polynomial one-form JSON file")
+        c.add_argument(
             "--system", choices=["nilpotent", "butcher"], default=None,
             help="expected coefficient system (butcher paths must come as JSON)",
         )
-        p.add_argument("--tol", type=float, default=1e-10, help="relative validation tolerance")
+        c.set_defaults(run=run)
+        return c
 
-    p = sub.add_parser("signature", help="running signature of a CSV path")
-    common(p)
-    p.set_defaults(run=cmd_signature)
-
-    p = sub.add_parser("pvar", help="p-variation of a path")
-    common(p)
-    p.set_defaults(run=cmd_pvar)
-
-    p = sub.add_parser("extend", help="extend a group path to a higher level")
-    common(p)
-    p.add_argument("--to-level", type=int, required=True, dest="to_level")
-    p.set_defaults(run=cmd_extend)
-
-    p = sub.add_parser("integrate", help="rough integration of a one-form file")
-    common(p)
-    p.add_argument("--form", required=True, help="polynomial one-form JSON file")
-    p.set_defaults(run=cmd_integrate)
-
-    p = sub.add_parser("iterate", help="iterated integral of two one-form couplings")
-    common(p)
-    p.add_argument("--form", required=True)
-    p.add_argument("--form2", required=True)
-    p.set_defaults(run=cmd_iterate)
-
-    p = sub.add_parser("product", help="tensor product of two one-form couplings")
-    common(p)
-    p.add_argument("--form", required=True)
-    p.add_argument("--form2", required=True)
-    p.set_defaults(run=cmd_product)
-
-    p = sub.add_parser("compose", help="compose a coupling with a polynomial function")
-    common(p)
-    p.add_argument("--form", required=True)
-    p.add_argument("--f", required=True, dest="func", help="polynomial function JSON file")
-    p.set_defaults(run=cmd_compose)
-
-    p = sub.add_parser("enhance", help="group enhancement of a one-form coupling")
-    common(p)
-    p.add_argument("--form", required=True)
-    p.set_defaults(run=cmd_enhance)
-
-    p = sub.add_parser("certify", help="slowly-varying and integrable certificates")
-    common(p)
-    p.add_argument("--form", required=True)
-    p.set_defaults(run=cmd_certify)
-
+    command("signature", cmd_signature, "running signature of a CSV path", p=False)
+    command("pvar", cmd_pvar, "p-variation of a path")
+    c = command("extend", cmd_extend, "extend a group path to a higher level")
+    c.add_argument("--tol", type=float, default=1e-10, help="relative grouplike tolerance of the input")
+    c.add_argument("--to-level", type=int, required=True, dest="to_level")
+    command("integrate", cmd_integrate, "rough integration of a one-form file", coupling=True)
+    c = command("iterate", cmd_iterate, "iterated integral of two one-form couplings", coupling=True)
+    c.add_argument("--form2", required=True)
+    c = command("product", cmd_product, "tensor product of two one-form couplings", coupling=True)
+    c.add_argument("--form2", required=True)
+    c = command("compose", cmd_compose, "compose a coupling with a polynomial function", coupling=True)
+    c.add_argument("--f", required=True, dest="func", help="polynomial function JSON file")
+    command("enhance", cmd_enhance, "group enhancement of a one-form coupling", coupling=True)
+    command("certify", cmd_certify, "slowly-varying and integrable certificates", coupling=True)
     return parser
 
 
@@ -153,10 +132,11 @@ def _read_json(source: str, what: str):
 def _load_path(args, depth: int | None = None) -> SampledGroupPath:
     if args.depth < 1:
         raise InputError(f"--depth must be at least 1, got {args.depth}")
-    if not args.p >= 1:
-        raise InputError(f"--p must be at least 1, got {args.p}")
-    if args.theta is not None and not math.isfinite(args.theta):
-        raise InputError(f"--theta must be finite, got {args.theta}")
+    p, theta = getattr(args, "p", None), getattr(args, "theta", None)  # only some commands take them
+    if p is not None and not p >= 1:
+        raise InputError(f"--p must be at least 1, got {p}")
+    if theta is not None and not math.isfinite(theta):
+        raise InputError(f"--theta must be finite, got {theta}")
     text = _read_text(args.input)
     want = getattr(args, "system", None)
     if text.lstrip().startswith("{"):
@@ -203,7 +183,7 @@ def cmd_extend(args) -> dict:
     tol = max(args.tol, 1e-12) * np.maximum(1.0, path.system.norm(path.levels))
     if not path.system.grouplike_check(path.levels, tol):
         raise InputError("input path values fail the grouplike relations")
-    extended, report = extend_to_level(path, args.to_level, args.p, schedule=args.schedule)
+    extended, report = extend_to_level(path, args.to_level, args.p)
     obj = serialize.path_to_obj(extended)
     obj["pvar_ratios"] = [None if r is None else float(r) for r in report.pvar_ratios]
     return obj
@@ -256,13 +236,13 @@ def cmd_integrate(args) -> dict:
 def cmd_iterate(args) -> dict:
     d1 = _coupling_from_form(args, args.form)
     d2 = _coupling_from_form(args, args.form2, d1.base)
-    return _trace_payload(iterated_integral(d1, d2, schedule=args.schedule))
+    return _trace_payload(iterated_integral(d1, d2))
 
 
 def cmd_product(args) -> dict:
     d1 = _coupling_from_form(args, args.form)
     d2 = _coupling_from_form(args, args.form2, d1.base)
-    return _trace_payload(product_op(d1, d2, schedule=args.schedule))
+    return _trace_payload(product_op(d1, d2))
 
 
 def cmd_compose(args) -> dict:
@@ -270,12 +250,12 @@ def cmd_compose(args) -> dict:
     f = serialize.function_from_obj(_read_json(args.func, "function"))
     if f.in_dim != d.dim:
         raise InputError(f"function dimension {f.in_dim} != coupling dimension {d.dim}")
-    return _trace_payload(compose_op(d, f, schedule=args.schedule))
+    return _trace_payload(compose_op(d, f))
 
 
 def cmd_enhance(args) -> dict:
     d = _coupling_from_form(args, args.form)
-    enh = enhance_op(d, schedule=args.schedule)
+    enh = enhance_op(d)
     obj = serialize.path_to_obj(enh.as_sampled_path())
     obj["multiplicativity_residual"] = enh.multiplicativity_residual()
     return obj

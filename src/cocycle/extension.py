@@ -21,7 +21,7 @@ import numpy as np
 from . import trees
 from .algebra import ForestSystem, GradedTensor, HopfSystem, WordSystem, tensor_system
 from .one_forms import AlgebraTarget, CertificateError
-from .paths import Control, SampledGroupPath, control_from_pvar, p_variation
+from .paths import SampledGroupPath, p_variation
 from .sewing import sew_generic
 
 
@@ -84,13 +84,7 @@ class ExtensionReport:
     pvar_ratios: list = field(default_factory=list)  # |g^{m+1}| / |g^m| per level; None if |g^m| = 0
 
 
-def extend_one_level(
-    path: SampledGroupPath,
-    p: float,
-    omega: Control | None = None,
-    schedule: str = "ltr",
-    theta: float | None = None,
-) -> SampledGroupPath:
+def extend_one_level(path: SampledGroupPath, p: float) -> SampledGroupPath:
     """Raise the truncation level of a path by one, by sewing its one-step
     increments, each completed into the group one level up."""
     m = path.level
@@ -98,41 +92,23 @@ def extend_one_level(
         raise CertificateError(
             f"target level {m + 1} does not exceed p = {p}: below the Young threshold"
         )
-    if theta is None:
-        theta = (m + 1) / p
-    if omega is None:
-        omega = control_from_pvar(path, p)
     upper = tensor_system(path.system.kind, path.d, m + 1)
 
     def one_steps(i, j):
         return lift_into_group(path.system, path.increments(i, j))
 
-    prefixes, _total, _removals, _bound = sew_generic(
-        one_steps, len(path), AlgebraTarget(upper), omega, theta, schedule
-    )
-    return SampledGroupPath(upper, path.times, prefixes)
+    return SampledGroupPath(upper, path.times, sew_generic(one_steps, len(path), AlgebraTarget(upper)))
 
 
-def extend_to_level(
-    path: SampledGroupPath,
-    n: int,
-    p: float,
-    schedule: str = "ltr",
-) -> tuple[SampledGroupPath, ExtensionReport]:
-    """Iterate the one-level extension up to level n; reports p-var growth.
-
-    Each level holds one control, so its p-variation and the next step's
-    sewing read the one DP row store of that path.
-    """
+def extend_to_level(path: SampledGroupPath, n: int, p: float) -> tuple[SampledGroupPath, ExtensionReport]:
+    """Iterate the one-level extension up to level n; reports p-var growth."""
     if n < path.level:
         raise ValueError("target level below the current level")
     report = ExtensionReport(p=p)
     cur = path
-    omega = control_from_pvar(cur, p)
     base_pvar = p_variation(cur, p)
     while cur.level < n:
-        cur = extend_one_level(cur, p, omega=omega, schedule=schedule)
-        omega = control_from_pvar(cur, p)
+        cur = extend_one_level(cur, p)
         report.levels.append(cur.level)
         report.pvar_ratios.append(p_variation(cur, p) / base_pvar if base_pvar > 0 else None)
     return cur, report

@@ -760,7 +760,6 @@ class IntegrableReport:
     theta: float
     worst_triple: tuple | None
     ok: bool
-    frozen: bool = False
 
 
 def integrable_condition_check(
@@ -785,12 +784,10 @@ def integrable_condition_check(
         one_steps = beta.eval_rows(path, s, s, path.increments(s, later))
         M = max(M, float(tgt.sigma_max_norms(one_steps).max()))
     ratio, worst = 0.0, None
-    frozen = True
     triples = grid_triples(N, max_triples)
     while chunk := list(itertools.islice(triples, CHEN_CHUNK)):
         first, mid, last = np.array(chunk, dtype=np.int64).T
         inc = path.increments(mid, last)
-        frozen = frozen and not any((np.abs(l).max(axis=-1) > 1e-14).any() for l in inc[1:])
         late = beta.eval_rows(path, mid, mid, inc)
         early = beta.eval_rows(path, first, mid, inc)
         devs = tgt.sigma_max_norms(tgt.sub(late, early))
@@ -803,4 +800,4 @@ def integrable_condition_check(
         if zero.size:
             ratio, worst = np.inf, chunk[zero[-1]]
     ok = theta > 1.0 and np.isfinite(ratio) and np.isfinite(M)
-    return IntegrableReport(M, ratio, theta, worst, ok, frozen)
+    return IntegrableReport(M, ratio, theta, worst, ok)

@@ -394,9 +394,9 @@ def control_from_pvar(path: SampledGroupPath, p: float) -> Control:
     """w(s,t) = |g|_{p-var,[s,t]}^p; superadditive by construction.
 
     The control reads the path's one DP row store for p, so controls summed
-    over one path and p compute each row once; certificates and removal
-    schedules query the same windows repeatedly.  Building the control
-    computes nothing.
+    over one path and p compute each row once; certificates and the
+    point-removal budget query the same windows repeatedly.  Building the
+    control computes nothing.
     """
     return Control(path.times, path.pvar_rows(p))
 

@@ -2,14 +2,12 @@
 
 On sampled data the integral over a window is the ordered product of one-step
 evaluations ``beta_{t_j}(g_{t_j}, g_{t_j, t_{j+1}})`` over the finest
-available partition; schedules differ in the association order (and in the
-error bookkeeping), not in the value:
-
-* ``left_to_right`` -- plain left fold, the reproducible default order;
-* ``dyadic``        -- balanced binary reduction;
-* ``omega_guided``  -- association shaped by the point-removal rule of the
-  existence proof: repeatedly drop an interior point whose merged window has
-  control at most ``2/(l-1)`` of the total, accumulating the removal bound.
+available partition.  The integrals from the first grid time are the left
+fold of those one-step values, computed once for all grid times; the order in
+which the product associates cannot change them.  The point-removal rule of
+the existence proof is a computation on the control alone
+(:func:`point_removal`): repeatedly drop an interior point whose merged window
+has control at most ``2/(l-1)`` of the total, accumulating the removal bound.
 
 Convergence evidence comes from :func:`refine_and_compare`, which evaluates
 the coarse-partition products against nested refinements.  One-step values
@@ -27,14 +25,6 @@ import numpy as np
 from .one_forms import CertificateError, IntegrableReport, TimeVaryingOneForm, integrable_condition_check
 from .paths import Control, SampledGroupPath, holder_quotients, sup_quotient
 
-SCHEDULES = {
-    "omega": "omega",
-    "omega_guided": "omega",
-    "dyadic": "dyadic",
-    "ltr": "ltr",
-    "left_to_right": "ltr",
-}
-
 
 def zeta(theta: float, terms: int = 20000) -> float:
     """Riemann zeta for theta > 1, partial sum plus integral tail."""
@@ -50,7 +40,8 @@ class SewingResult:
 
     ``prefixes`` stacks the integrals from the first grid time as target rows:
     an ``(N, dim)`` array, or the ``(N, dim_k)`` levels of an algebra target.
-    ``total`` is the row of the whole window in the schedule's association order.
+    Under the ``omega`` schedule ``removal_order`` and ``removal_bound`` hold
+    the :func:`point_removal` budget of the control.
     """
 
     times: np.ndarray
@@ -59,7 +50,6 @@ class SewingResult:
     theta: float
     omega: Control
     schedule: str
-    total: object
     removal_order: list = field(default_factory=list)
     removal_bound: float = 0.0
     one_steps: object = None  # (i, j) index arrays -> one-step rows of those windows
@@ -155,46 +145,25 @@ def loglog_slope(xs, ys) -> float:
     return float(coef[0])
 
 
-def sew_generic(one_steps, N: int, target, omega: Control, theta: float, schedule: str):
-    """Ordered product of one-step values; returns (prefixes, total, removals, bound).
+def sew_generic(one_steps, N: int, target):
+    """The stacked running products of the one-step values over N grid times.
 
     ``one_steps(i, j)`` must produce the one-step rows over the windows
-    (i, j) of two index arrays; it is called once, for all N - 1 leaves.
-    The prefixes are the target's running products of the leaves, stacked;
-    the schedule only decides how ``total`` associates them.
+    (i, j) of two index arrays; it is called once, for all N - 1 leaves,
+    and the target folds them from the left.
     """
-    sched = SCHEDULES.get(schedule)
-    if sched is None:
-        raise ValueError(f"unknown schedule {schedule!r}")
     steps = np.arange(N - 1)
-    leaves = one_steps(steps, steps + 1)
-    prefixes = target.prefixes(leaves)
-    removals: list[int] = []
-    bound = 0.0
-    if sched == "ltr" or N <= 2:
-        total = target.take(prefixes, -1)
-    elif sched == "dyadic":
-        total = _balanced([target.take(leaves, j) for j in steps], target)
-    else:
-        total, removals, bound = _omega_guided([target.take(leaves, j) for j in steps], target, omega, theta, N)
-    return prefixes, total, removals, bound
+    return target.prefixes(one_steps(steps, steps + 1))
 
 
-def _balanced(leaves, target):
-    work = list(leaves)
-    while len(work) > 1:
-        nxt = []
-        for i in range(0, len(work) - 1, 2):
-            nxt.append(target.mul(work[i], work[i + 1]))
-        if len(work) % 2:
-            nxt.append(work[-1])
-        work = nxt
-    return work[0]
+def point_removal(omega: Control, theta: float, N: int) -> tuple[list, float]:
+    """The existence proof's point-removal order on N grid times and its budget.
 
-
-def _omega_guided(leaves, target, omega, theta, N):
+    Each step drops the first interior point whose merged window has control
+    at most ``2/(l-1)`` of the remaining window; the budget sums the merged
+    windows' controls to the power theta.
+    """
     pts = list(range(N))
-    split: dict[tuple[int, int], int] = {}
     removals = []
     bound = 0.0
     while len(pts) > 2:
@@ -204,19 +173,10 @@ def _omega_guided(leaves, target, omega, theta, N):
         fits = [pos for pos, w in enumerate(merged) if w <= budget]
         # superadditivity guarantees a fit; the argmin guards float slack
         pick = (fits[0] if fits else int(np.argmin(merged))) + 1
-        a, u, b = pts[pick - 1], pts[pick], pts[pick + 1]
-        split[(a, b)] = u
-        removals.append(u)
+        removals.append(pts[pick])
         bound += merged[pick - 1] ** theta
         del pts[pick]
-
-    def assemble(a, b):
-        if b == a + 1:
-            return leaves[a]
-        u = split[(a, b)]
-        return target.mul(assemble(a, u), assemble(u, b))
-
-    return assemble(pts[0], pts[1]), removals, bound
+    return removals, bound
 
 
 def sew(
@@ -232,8 +192,12 @@ def sew(
 
     Refuses when theta <= 1 (below the Young threshold) or when the
     integrable-condition certificate fails; pass ``certificate`` to reuse a
-    precomputed one or ``check=False`` to override explicitly.
+    precomputed one or ``check=False`` to override explicitly.  The
+    ``omega`` schedule also records the control's :func:`point_removal`
+    budget; the integral is the same under either schedule.
     """
+    if schedule not in ("ltr", "omega"):
+        raise ValueError(f"unknown schedule {schedule!r}")
     if theta <= 1.0:
         raise CertificateError(f"theta = {theta} is at or below the Young threshold")
     if certificate is None and check:
@@ -246,17 +210,15 @@ def sew(
     def one_steps(i, j):
         return beta.eval_rows(path, i, i, path.increments(i, j))
 
-    prefixes, total, removals, bound = sew_generic(
-        one_steps, len(path), beta.target, omega, theta, schedule
-    )
+    prefixes = sew_generic(one_steps, len(path), beta.target)
+    removals, bound = point_removal(omega, theta, len(path)) if schedule == "omega" else ([], 0.0)
     return SewingResult(
         times=path.times,
         target=beta.target,
         prefixes=prefixes,
         theta=theta,
         omega=omega,
-        schedule=SCHEDULES[schedule],
-        total=total,
+        schedule=schedule,
         removal_order=removals,
         removal_bound=bound,
         one_steps=one_steps,

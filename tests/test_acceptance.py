@@ -35,6 +35,7 @@ from cocycle.one_forms import (
     slowly_varying_certificate,
 )
 from cocycle.paths import (
+    SampledGroupPath,
     chen_residual,
     control_from_pvar,
     p_variation,
@@ -164,15 +165,11 @@ def test_criterion_06_extension_theorem():
         direct = signature_piecewise_linear(base_pts, n, times=ts)
         lifted, _ = extend_to_level(g2, n, p=1.5)
         dev_sig = max(dev_sig, path_max_dev(lifted, direct))
-    sched_dev = path_max_dev(
-        extend_one_level(g2, 1.5, schedule="ltr"),
-        extend_one_level(g2, 1.5, schedule="omega"),
-    )
     c = 1.7
     dil_dev = path_max_dev(
         extend_one_level(g2.dilate(c), 1.5), extend_one_level(g2, 1.5).dilate(c)
     )
-    ratios = []
+    ratios, route_devs = [], []
     for refine in (1, 2, 4):
         pts_r, ts_r = [base_pts[0]], [ts[0]]
         for i in range(len(base_pts) - 1):
@@ -183,10 +180,17 @@ def test_criterion_06_extension_theorem():
         gr = signature_piecewise_linear(np.array(pts_r), 2, times=np.array(ts_r))
         g4r, _ = extend_to_level(gr, 4, p=1.5)
         ratios.append(p_variation(g4r, 1.5) / p_variation(gr, 1.5))
+        # uniqueness: the raw level-raising one-form, sewn in the unit-scalar algebra,
+        # and the group lift are two routes to the one level-3 extension
+        raw = sew(LevelRaisingForm(gr), gr, control_from_pvar(gr, 1.5), theta=2.0, check=True)
+        raw_path = SampledGroupPath(tensor_system("nilpotent", 2, 3), gr.times, raw.prefixes)
+        route_devs.append(path_max_dev(raw_path, extend_one_level(gr, 1.5)))
     spread = (max(ratios) - min(ratios)) / np.mean(ratios)
-    ok = dev_sig <= 1e-9 and sched_dev <= 1e-10 and dil_dev <= 1e-10 and spread <= 0.10
-    report(6, "extension: signature match, uniqueness, dilation, stable constant",
-           ok, f"sig {dev_sig:.1e}, sched {sched_dev:.1e}, dil {dil_dev:.1e}, spread {spread:.3f}")
+    halving = all(b <= 0.5 * a for a, b in zip(route_devs, route_devs[1:]))
+    ok = dev_sig <= 1e-9 and halving and dil_dev <= 1e-10 and spread <= 0.10
+    report(6, "extension: signature match, uniqueness, dilation, stable constant", ok,
+           f"sig {dev_sig:.1e}, routes {' > '.join(f'{x:.1e}' for x in route_devs)}, "
+           f"dil {dil_dev:.1e}, spread {spread:.3f}")
 
 
 def test_criterion_07_integral_maps():

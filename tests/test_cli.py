@@ -33,6 +33,14 @@ def schema(name):
         return json.load(fh)
 
 
+def refusal(err, code):
+    """The one JSON document on stderr of a command that exited with ``code``, checked against its schema."""
+    payload = json.loads(err)
+    jsonschema.validate(payload, schema("error"))
+    assert payload["exit"] == code
+    return payload
+
+
 @pytest.fixture
 def line_csv(tmp_path):
     f = tmp_path / "line.csv"
@@ -176,7 +184,7 @@ def test_malformed_csv_exit_2(capsys):
     code, out, err = run_cli(["signature"], stdin_text="t,x1\n0,zero\n1,1\n", capsys=capsys)
     assert code == 2
     assert out == ""
-    payload = json.loads(err)
+    payload = refusal(err, 2)
     assert payload["error"] == "InputError"
     assert "line 2" in payload["message"]
 
@@ -187,7 +195,7 @@ def test_csv_first_bad_line_wins(line5, capsys):
     code, out, err = run_cli(["signature"], stdin_text=f"t,x1\n0,0\n1,nan\n2,2\n{line5}\n", capsys=capsys)
     assert code == 2
     assert out == ""
-    payload = json.loads(err)
+    payload = refusal(err, 2)
     assert payload["error"] == "InputError"
     assert payload["message"] == "line 3: non-finite value"
 
@@ -197,6 +205,7 @@ def test_malformed_json_exit_2(capsys, tmp_path):
     f.write_text("{not json")
     code, _, err = run_cli(["extend", "--to-level", "3", str(f)], capsys=capsys)
     assert code == 2
+    refusal(err, 2)
 
 
 def test_certificate_failure_exit_3(wiggle_csv, capsys, tmp_path):
@@ -209,7 +218,7 @@ def test_certificate_failure_exit_3(wiggle_csv, capsys, tmp_path):
         ["integrate", "--form", str(f), "--p", "2", wiggle_csv], capsys=capsys
     )
     assert code == 3
-    assert json.loads(err)["error"] == "CertificateError"
+    assert refusal(err, 3)["error"] == "CertificateError"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -218,6 +227,7 @@ def test_overflow_exit_4(capsys, tmp_path):
     f.write_text("t,x1\n0,0\n1,1e300\n")
     code, _, err = run_cli(["signature", "--depth", "4", str(f)], capsys=capsys)
     assert code == 4
+    refusal(err, 4)
 
 
 def test_determinism_across_runs(wiggle_csv, form_file, func_file, capsys, tmp_path):
@@ -278,7 +288,6 @@ GOLDEN_RUNS = {
     "certify_walk40": ["certify", "--form", "{form2}", "--p", "2", "{walk40}"],
     "pvar_walk": ["pvar", "--p", "2.5", "--depth", "3", "{walk}"],
     "extend_walk": ["extend", "--to-level", "3", "--p", "2.5", "{walk}"],
-    "extend_walk_omega": ["extend", "--to-level", "3", "--p", "2.5", "--schedule", "omega", "{walk}"],
     "enhance_walk": ["enhance", "--form", "{form2}", "--p", "2", "{walk}"],
     "pvar_butcher": ["pvar", "--system", "butcher", "--p", "2.5", "{butcher}"],
     "extend_butcher": ["extend", "--system", "butcher", "--to-level", "3", "--p", "2.5", "{butcher}"],
@@ -287,11 +296,16 @@ GOLDEN_RUNS = {
 }
 
 
-def golden_argv(name):
+def golden_files(argv):
+    """``argv`` with its golden input placeholders filled in."""
     files = {k: GOLDEN_DIR / f for k, f in
              (("walk", "walk.csv"), ("form2", "form2.json"), ("butcher", "butcher.json"),
               ("func", "func.json"), ("walk40", "walk40.csv"))}
-    return [a.format(**files) for a in GOLDEN_RUNS[name]]
+    return [a.format(**files) for a in argv]
+
+
+def golden_argv(name):
+    return golden_files(GOLDEN_RUNS[name])
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
@@ -320,18 +334,64 @@ def test_golden_certificate_overflow(capsys):
     code, out, err = run_cli(golden_argv("certify_walk") + ["--theta", "400"], capsys=capsys)
     assert (code, out) == (4, "")
     assert err == (GOLDEN_DIR / "certify_walk_theta400.err").read_text()
+    refusal(err, 4)
 
 
-@pytest.mark.parametrize("schedule", ["dyadic", "omega"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_schedule_flag_is_refused(name, capsys):
+    # every command prints the left-fold prefixes, which no association order
+    # changes, so no command takes --schedule: a golden run given it is a usage error
+    code, out, err = run_cli(golden_argv(name) + ["--schedule", "ltr"], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert refusal(err, 2)["message"] == "cocycle: unrecognized arguments: --schedule ltr"
+
+
+# options given after the input to a command that does not read them
+UNREAD_OPTIONS = [
+    ["signature", "{walk}", "--p", "2"],
+    ["signature", "{walk}", "--theta", "2"],
+    ["signature", "{walk}", "--tol", "1e-9"],
+    ["pvar", "{walk}", "--theta", "2"],
+    ["pvar", "{walk}", "--tol", "1e-9"],
+    ["extend", "--to-level", "3", "{walk}", "--theta", "2"],
+    *[GOLDEN_RUNS[f"{name}_walk"] + ["--tol", "1e-9"]
+      for name in ("integrate", "iterate", "product", "compose", "enhance", "certify")],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_OPTIONS, ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_unread_options_are_refused(argv, capsys):
+    code, out, err = run_cli(golden_files(argv), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert refusal(err, 2)["message"] == "cocycle: unrecognized arguments: " + " ".join(argv[-2:])
+
+
 @pytest.mark.parametrize(
-    "name",
-    ["integrate_walk", "enhance_walk", "extend_walk", "extend_butcher", "extend_walk_level4", "extend_butcher_level4"],
+    "argv, message",
+    [
+        (["signature", "--depth", "x"], "cocycle signature: argument --depth: invalid int value: 'x'"),
+        (["pvar", "--p", "x"], "cocycle pvar: argument --p: invalid float value: 'x'"),
+        (["extend"], "cocycle extend: the following arguments are required: --to-level"),
+        (["pvar", "--system", "other"], "cocycle pvar: argument --system: invalid choice: 'other' (choose from 'nilpotent', 'butcher')"),
+        (["walk"], "cocycle: argument command: invalid choice: 'walk' (choose from 'signature', 'pvar', 'extend', "
+                   "'integrate', 'iterate', 'product', 'compose', 'enhance', 'certify')"),
+        ([], "cocycle: the following arguments are required: command"),
+    ],
+    ids=["bad-int", "bad-float", "missing-option", "bad-choice", "bad-command", "no-command"],
 )
-def test_schedule_keeps_golden_output(name, schedule, capsys):
-    # the CLI prints the prefixes, which every schedule computes by the left fold
-    code, out, err = run_cli(golden_argv(name) + ["--schedule", schedule], capsys=capsys)
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
+def test_usage_errors_are_one_json_document(argv, message, capsys):
+    code, out, err = run_cli(argv, stdin_text="", capsys=capsys)
+    assert (code, out) == (2, "")
+    assert refusal(err, 2) == {"error": "InputError", "message": message, "exit": 2}
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["extend", "-h"], ["certify", "--help"]], ids=["top", "extend", "certify"])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith("usage: cocycle")
 
 
 def test_integrate_reads_recentred_forms_in_rows(capsys, monkeypatch):
@@ -401,7 +461,7 @@ def test_system_flag_gates_csv(line_csv, capsys):
         ["signature", "--system", "butcher", "--depth", "2", line_csv], capsys=capsys
     )
     assert code == 2
-    assert "translation" in json.loads(err)["message"]
+    assert "translation" in refusal(err, 2)["message"]
 
 
 def test_extend_forest_path_json(capsys, tmp_path):
@@ -450,8 +510,8 @@ def test_forest_path_coupling_exit_2(command, forest_json, form_file, capsys):
     )
     assert code == 2
     assert out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "InputError" and payload["exit"] == 2
+    payload = refusal(err, 2)
+    assert payload["error"] == "InputError"
 
 
 NAN_FORM = '{"d": 1, "target_dim": 1, "degree": 1, "derivatives": [[[NaN]], [[[1.0]]]]}'
@@ -515,8 +575,8 @@ def test_bad_input_exit_2(argv, text, capsys, tmp_path):
     code, out, err = run_cli(argv, stdin_text=text, capsys=capsys)
     assert code == 2
     assert out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "InputError" and payload["exit"] == 2
+    payload = refusal(err, 2)
+    assert payload["error"] == "InputError"
 
 
 @pytest.mark.parametrize(
@@ -533,8 +593,7 @@ def test_numeric_failure_exit_4_one_json_document(argv, wiggle_csv, capsys, tmp_
     code, out, err = run_cli(argv, capsys=capsys)
     assert code == 4
     assert out == ""
-    payload = json.loads(err)  # the whole of stderr is one JSON document
-    assert payload["exit"] == 4
+    refusal(err, 4)  # the whole of stderr is one JSON document
 
 
 def test_enhance_two_point_path(form_file, capsys, tmp_path):
@@ -569,14 +628,13 @@ def test_extend_constant_path_null_ratio(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("system", ["nilpotent", "butcher"])
-@pytest.mark.parametrize("schedule", ["ltr", "dyadic", "omega"])
-def test_extend_one_point_path_null_ratio(system, schedule, capsys, tmp_path):
+def test_extend_one_point_path_null_ratio(system, capsys, tmp_path):
     # one value: no increments, so every product and norm table has zero rows
     f = tmp_path / "one.json"
     one = {"system": system, "d": 2, "n": 2, "times": [0.5], "values": [[{"index": "()", "value": 1.0}]]}
     f.write_text(json.dumps(one))
     code, out, err = run_cli(
-        ["extend", "--system", system, "--to-level", "4", "--p", "2.5", "--schedule", schedule, str(f)], capsys=capsys
+        ["extend", "--system", system, "--to-level", "4", "--p", "2.5", str(f)], capsys=capsys
     )
     assert (code, err) == (0, "")
     obj = json.loads(out)
@@ -593,8 +651,8 @@ def test_extend_far_from_origin_exit_3(capsys, tmp_path):
     f.write_text(offset_path_json(1e-6 * walk, 1e6, 2))
     code, out, err = run_cli(["extend", "--to-level", "3", "--p", "1.5", str(f)], capsys=capsys)
     assert (code, out) == (3, "")
-    payload = json.loads(err)  # the whole of stderr is one JSON document
-    assert payload["error"] == "CertificateError" and payload["exit"] == 3
+    payload = refusal(err, 3)  # the whole of stderr is one JSON document
+    assert payload["error"] == "CertificateError"
     assert all(word in payload["message"] for word in ("grouplike", "step", "residual", "tolerance"))
 
 
@@ -646,11 +704,46 @@ def offset_path_json(walk, offset, depth) -> str:
     return serialize.dumps(serialize.path_to_obj(SampledGroupPath(system, np.arange(float(N)), system.exp_levels(lift))))
 
 
+def hostile_polynomial_text(data, what, good: dict, dim_key: str) -> str:
+    """The JSON text of a valid polynomial file, or of one malformed in a drawn way."""
+    kind = data.draw(st.one_of(st.just("valid"), st.sampled_from([  # valid half the time
+        "truncated", "not-object", "missing-key", "wrong-shape", "non-finite", "degree-mismatch", "text-values",
+        "low-gamma", "huge"])), what)
+    obj = json.loads(json.dumps(good))
+    if kind == "truncated":
+        return json.dumps(obj)[:-2]
+    if kind == "not-object":
+        return json.dumps(obj["derivatives"])
+    if kind == "missing-key":
+        del obj[data.draw(st.sampled_from(sorted(obj)), f"{what} key")]
+    elif kind == "wrong-shape":
+        obj[dim_key] += 1
+    elif kind == "non-finite":
+        obj["derivatives"][0] = np.full(np.shape(obj["derivatives"][0]), np.nan).tolist()
+    elif kind == "degree-mismatch":
+        obj["degree"] += 1
+    elif kind == "text-values":
+        obj["derivatives"] = "x"
+    elif kind == "low-gamma":
+        obj["gamma"] = 0.2
+    elif kind == "huge":
+        obj["derivatives"][0] = np.full(np.shape(obj["derivatives"][0]), 1e308).tolist()
+    return json.dumps(obj)  # non-finite values go in as NaN
+
+
+# for each command, a flag that only other commands take
+FOREIGN_FLAGS = {
+    "signature": ["--p", "2"], "pvar": ["--to-level", "3"], "extend": ["--theta", "2"],
+    "integrate": ["--tol", "1e-9"], "certify": ["--form2", "{form}"], "enhance": ["--f", "{func}"],
+    "iterate": ["--f", "{func}"], "product": ["--tol", "1e-9"], "compose": ["--form2", "{form}"],
+}
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_contract_on_hostile_paths(data, tmp_path, capsys):
-    """Any 2-6 point path, CSV or JSON, at any scale or far from the origin: exit 0, 2, 3 or 4,
-    and JSON on the right stream."""
+    """Any 2-6 point path, CSV or JSON, at any scale or far from the origin, with drawn one-form and
+    function files and maybe one hostile argv token: exit 0, 2, 3 or 4, and JSON on the right stream."""
     N = data.draw(st.integers(2, 6), "points")
     d = data.draw(st.sampled_from([1, 2]), "d")
     shape = data.draw(st.sampled_from(["walk", "zeros", "constant", "offset"]), "shape")
@@ -671,30 +764,38 @@ def test_cli_contract_on_hostile_paths(data, tmp_path, capsys):
     else:
         text = "t," + ",".join(f"x{j + 1}" for j in range(d)) + "\n"
         text += "".join(",".join(repr(float(x)) for x in (t, *row)) + "\n" for t, row in enumerate(pts * scale))
-    options = ["--depth", str(depth), "--p", repr(data.draw(st.floats(1.0, 3.5), "p")),
-               "--schedule", data.draw(st.sampled_from(["ltr", "omega", "dyadic"]), "schedule")]
-    form = tmp_path / "form.json"
-    form.write_text(json.dumps({
+    p = repr(data.draw(st.floats(1.0, 3.5), "p"))
+    files = {"form": tmp_path / "form.json", "func": tmp_path / "func.json"}
+    files["form"].write_text(hostile_polynomial_text(data, "form", {
         "d": d, "target_dim": 1, "degree": 1, "gamma": 2.5,
         "derivatives": [[[0.5] * d], [[[1.0 - j - k for k in range(d)] for j in range(d)]]],
-    }))
-    func = tmp_path / "func.json"
-    func.write_text(json.dumps({"in_dim": 1, "out_dim": 1, "degree": 2, "derivatives": [[0.0], [[1.0]], [[[2.0]]]]}))
+    }, "d"))
+    files["func"].write_text(hostile_polynomial_text(data, "function", {
+        "in_dim": 1, "out_dim": 1, "degree": 2, "derivatives": [[0.0], [[1.0]], [[[2.0]]]],
+    }, "in_dim"))
+    form, func = str(files["form"]), str(files["func"])
     to_level = str(depth + data.draw(st.integers(int(shape == "offset"), 2), "raise"))
-    commands = [
-        ["signature"], ["pvar"], ["extend", "--to-level", to_level],
-        ["integrate", "--form", str(form)], ["certify", "--form", str(form)],
-        ["enhance", "--form", str(form)], ["iterate", "--form", str(form), "--form2", str(form)],
-        ["product", "--form", str(form), "--form2", str(form)],
-        ["compose", "--form", str(form), "--f", str(func)],
-    ]
-    for command in commands:
-        code, out, err = run_cli(command + options, stdin_text=text, capsys=capsys)
-        assert code in (0, 2, 3, 4), (command, err)
+    commands = {
+        "signature": [], "pvar": ["--p", p], "extend": ["--p", p, "--to-level", to_level],
+        "integrate": ["--p", p, "--form", form], "certify": ["--p", p, "--form", form],
+        "enhance": ["--p", p, "--form", form], "iterate": ["--p", p, "--form", form, "--form2", form],
+        "product": ["--p", p, "--form", form, "--form2", form], "compose": ["--p", p, "--form", form, "--f", func],
+    }
+    token = data.draw(st.one_of(st.just("none"), st.sampled_from(["unknown", "schedule", "foreign", "p-text"])),
+                      "argv token")  # none half the time
+    for command, options in commands.items():
+        extra = {"none": [], "unknown": ["--bogus"], "schedule": ["--schedule", "ltr"],
+                 "foreign": [a.format(**files) for a in FOREIGN_FLAGS[command]], "p-text": ["--p", "x"]}[token]
+        argv = [command, "--depth", str(depth)] + options + extra
+        code, out, err = run_cli(argv, stdin_text=text, capsys=capsys)
+        assert code in (0, 2, 3, 4), (argv, err)
         if code == 0:
             json.loads(out)
         else:
-            assert out == "" and json.loads(err)["exit"] == code, (command, err)
+            assert out == "", (argv, err)
+            refusal(err, code)
+        if token != "none":
+            assert code == 2, (argv, err)
 
 
 @pytest.mark.parametrize(
@@ -709,7 +810,7 @@ def test_cli_contract_on_hostile_paths(data, tmp_path, capsys):
 def test_bad_index_messages_kept(system, index, message, capsys):
     code, out, err = run_cli(["pvar", "--p", "2"], stdin_text=bad_index_path(system, json.dumps(index)), capsys=capsys)
     assert (code, out) == (2, "")
-    assert json.loads(err)["message"] == f"bad path object: {message}"
+    assert refusal(err, 2)["message"] == f"bad path object: {message}"
 
 
 def test_iterate_grows_each_pvar_row_once(capsys, monkeypatch):
@@ -743,14 +844,11 @@ def test_iterate_grows_each_pvar_row_once(capsys, monkeypatch):
             assert [x.hex() for x in row.tolist()] == [x.hex() for x in shared[0].rows[i].tolist()]
 
 
-@pytest.mark.parametrize(
-    "name, extra, levels",
-    [("extend_walk_omega", [], 2), ("extend_walk_level4", ["--schedule", "omega"], 3)],
-)
-def test_extend_raises_each_level_powers_once(name, extra, levels, capsys, monkeypatch):
-    # each level holds one control: its p-variation and the next step's omega
-    # sewing read one DP row store, so each level's (N, N) powers are built
-    # once; the count keeps no store alive, as the path holds them weakly
+@pytest.mark.parametrize("name, levels", [("extend_walk", 2), ("extend_walk_level4", 3)])
+def test_extend_raises_each_level_powers_once(name, levels, capsys, monkeypatch):
+    # only each level's p-variation reads a control, so each level's (N, N)
+    # powers are built once; the count keeps no store alive, as the path
+    # holds them weakly
     from cocycle import paths
 
     built = []
@@ -762,7 +860,7 @@ def test_extend_raises_each_level_powers_once(name, extra, levels, capsys, monke
             return super().__call__(i, j)
 
     monkeypatch.setattr(paths, "_PVarRows", Counting)
-    code, out, err = run_cli(golden_argv(name) + extra, capsys=capsys)
+    code, out, err = run_cli(golden_argv(name), capsys=capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
     assert len(built) == levels

@@ -58,16 +58,6 @@ def test_constant_path_extends_to_constant():
         assert tensor_max_dev(v, lifted.system.unit()) < 1e-14
 
 
-def test_schedules_agree(zigzag):
-    pts, ts = zigzag
-    g2 = signature_piecewise_linear(pts, 2, times=ts)
-    a = extend_one_level(g2, 1.5, schedule="ltr")
-    b = extend_one_level(g2, 1.5, schedule="omega")
-    c = extend_one_level(g2, 1.5, schedule="dyadic")
-    assert path_max_dev(a, b) < 1e-10
-    assert path_max_dev(a, c) < 1e-10
-
-
 def test_dilation_equivariance(zigzag):
     pts, ts = zigzag
     g2 = signature_piecewise_linear(pts, 2, times=ts)

@@ -12,7 +12,7 @@ from cocycle.one_forms import (
     polynomial_trace_increment,
 )
 from cocycle.paths import control_from_pvar, signature_piecewise_linear, uniform_control
-from cocycle.sewing import refine_and_compare, sew, zeta
+from cocycle.sewing import point_removal, refine_and_compare, sew, zeta
 from conftest import tensor_max_dev
 
 
@@ -44,7 +44,7 @@ def test_constant_form_sews_to_one_step(rng):
     om = control_from_pvar(g, 1.0)
     s2 = tensor_system("nilpotent", 2, 2)
     form = constant_form_from_alpha(g.times, g.system, AlgebraTarget(s2), lambda x: x)
-    for schedule in ("ltr", "dyadic", "omega"):
+    for schedule in ("ltr", "omega"):
         res = sew(form, g, om, theta=2.0, schedule=schedule)
         dev = (res.value(0, 16) - form.eval(0, g.values[0], g.increment(0, 16))).norm()
         assert dev < 1e-13
@@ -58,7 +58,7 @@ def test_frozen_path_integrates_to_unit(rng):
     form = constant_form_from_alpha(g.times, g.system, AlgebraTarget(s2), lambda x: x)
     res = sew(form, g, om, theta=2.0)
     assert tensor_max_dev(res.values[-1], s2.unit()) == 0.0
-    assert res.certificate is not None and res.certificate.frozen
+    assert res.certificate is not None
 
 
 def test_young_threshold_refused(smooth_path):
@@ -95,17 +95,19 @@ def test_full_stack_polynomial_matches_closed_form(smooth_path):
         assert np.abs(res.values[t] - closed).max() < 1e-12
 
 
-def test_schedules_agree(smooth_path):
+def test_schedules_sew_one_integral(smooth_path):
+    # the integral is the left fold under either schedule; omega adds the control's removal budget
     form = RoughOneForm(
         LipFunction.from_polynomial(cubic_one_form(), gamma=2.0), smooth_path, p=2.0
     )
     om = control_from_pvar(smooth_path, 2.0)
-    totals = [
-        sew(form, smooth_path, om, theta=form.theta, schedule=s, check=False).total
-        for s in ("ltr", "dyadic", "omega")
-    ]
-    assert np.abs(totals[0] - totals[1]).max() < 1e-12
-    assert np.abs(totals[0] - totals[2]).max() < 1e-12
+    ltr = sew(form, smooth_path, om, theta=form.theta, schedule="ltr", check=False)
+    omega = sew(form, smooth_path, om, theta=form.theta, schedule="omega", check=False)
+    assert ltr.prefixes.tobytes() == omega.prefixes.tobytes()
+    assert (ltr.removal_order, ltr.removal_bound) == ([], 0.0)
+    assert (omega.removal_order, omega.removal_bound) == point_removal(om, form.theta, len(smooth_path))
+    with pytest.raises(ValueError, match="unknown schedule 'dyadic'"):
+        sew(form, smooth_path, om, theta=form.theta, schedule="dyadic", check=False)
 
 
 def test_omega_schedule_bookkeeping(smooth_path):
