@@ -308,19 +308,26 @@ def golden_argv(name):
     return golden_files(GOLDEN_RUNS[name])
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+# the extend run once sewn by the omega schedule keeps its name: every order
+# printed the left-fold prefixes, so its run and bytes are extend_walk's
+GOLDEN_ALIASES = {"extend_walk_omega": "extend_walk"}
+
+
+@pytest.mark.parametrize("name", sorted({**GOLDEN_RUNS, **GOLDEN_ALIASES}))
 def test_golden_command_output(name, capsys):
+    name = GOLDEN_ALIASES.get(name, name)
     code, out, err = run_cli(golden_argv(name), capsys=capsys)
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+@pytest.mark.parametrize("name", sorted({**GOLDEN_RUNS, **GOLDEN_ALIASES}))
 def test_golden_objects_dump_as_reference_writer(name, capsys, monkeypatch):
     # the type-dispatch writer gives the bytes of the recursive reference on every golden object
     from cocycle import cli, serialize
     from conftest import reference_dumps
 
+    name = GOLDEN_ALIASES.get(name, name)
     objs = []
     monkeypatch.setattr(cli, "dumps", lambda obj: objs.append(obj) or serialize.dumps(obj))
     code, out, err = run_cli(golden_argv(name), capsys=capsys)
@@ -337,13 +344,18 @@ def test_golden_certificate_overflow(capsys):
     refusal(err, 4)
 
 
+@pytest.mark.parametrize("schedule", ["ltr", "dyadic", "omega"])
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_schedule_flag_is_refused(name, capsys):
+def test_schedule_keeps_golden_output(name, schedule, capsys):
     # every command prints the left-fold prefixes, which no association order
-    # changes, so no command takes --schedule: a golden run given it is a usage error
-    code, out, err = run_cli(golden_argv(name) + ["--schedule", "ltr"], capsys=capsys)
+    # changes, so no command takes --schedule: a golden run given it is a usage
+    # error, and the golden bytes are those of the run without it
+    code, out, err = run_cli(golden_argv(name) + ["--schedule", schedule], capsys=capsys)
     assert (code, out) == (2, "")
-    assert refusal(err, 2)["message"] == "cocycle: unrecognized arguments: --schedule ltr"
+    assert refusal(err, 2)["message"] == f"cocycle: unrecognized arguments: --schedule {schedule}"
+    code, out, err = run_cli(golden_argv(name), capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text()
 
 
 # options given after the input to a command that does not read them
@@ -628,14 +640,18 @@ def test_extend_constant_path_null_ratio(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("system", ["nilpotent", "butcher"])
-def test_extend_one_point_path_null_ratio(system, capsys, tmp_path):
-    # one value: no increments, so every product and norm table has zero rows
+@pytest.mark.parametrize("schedule", ["ltr", "dyadic", "omega"])
+def test_extend_one_point_path_null_ratio(system, schedule, capsys, tmp_path):
+    # one value: no increments, so every product and norm table has zero rows;
+    # extend sews by the left fold alone and refuses a --schedule
     f = tmp_path / "one.json"
     one = {"system": system, "d": 2, "n": 2, "times": [0.5], "values": [[{"index": "()", "value": 1.0}]]}
     f.write_text(json.dumps(one))
-    code, out, err = run_cli(
-        ["extend", "--system", system, "--to-level", "4", "--p", "2.5", str(f)], capsys=capsys
-    )
+    argv = ["extend", "--system", system, "--to-level", "4", "--p", "2.5", str(f)]
+    code, out, err = run_cli(argv + ["--schedule", schedule], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert refusal(err, 2)["message"] == f"cocycle: unrecognized arguments: --schedule {schedule}"
+    code, out, err = run_cli(argv, capsys=capsys)
     assert (code, err) == (0, "")
     obj = json.loads(out)
     jsonschema.validate(obj, schema("path"))
