@@ -7,19 +7,15 @@ oracles and a CLI.
 
 from .algebra import GradedIndex, GradedTensor, HopfSystem, tensor_system
 from .dominated import (
-    ControlledPath,
     DominatedPath,
     GroupEnhancement,
     compose,
-    controlled_iterated_integral,
     coordinate_coupling,
     enhance,
-    integrate_controlled_against,
     iterated_integral,
     product,
     rebase,
     rough_integrate,
-    step2_enhancement_of_controlled,
 )
 from .extension import extend_one_level, extend_to_level, lift_into_group
 from .maps import (

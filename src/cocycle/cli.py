@@ -40,7 +40,11 @@ CERTIFICATE_GRID_CAP = 48  # full slowly-varying certificates only below this
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        args.input, *more = args.input
+        if more:
+            parser.error("unrecognized arguments: " + " ".join(more))
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             obj = args.run(args)
     except InputError as exc:
@@ -72,16 +76,32 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+class _Command(_Parser):
+    """A subcommand: its options are read before its input, so the value of an
+    option it does not take is refused with that option, never read as the input."""
+
+    _reading_options = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._reading_options:  # the two passes of the intermixed parse
+            return super().parse_known_args(args, namespace)
+        self._reading_options = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._reading_options = False
+
+
 @functools.cache  # one parser per process: a fresh one per call leaves cyclic garbage behind
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cocycle", description=__doc__)
-    sub = parser.add_subparsers(required=True, dest="command")
+    sub = parser.add_subparsers(required=True, dest="command", parser_class=_Command)
 
     def command(name, run, help, p=True, coupling=False):
         """A subcommand with the options it reads: --p where a p-variation enters,
         --theta and --form on the couplings."""
         c = sub.add_parser(name, help=help)
-        c.add_argument("input", nargs="?", default="-", help="CSV/JSON input file (default stdin)")
+        c.add_argument("input", nargs="*", default=["-"], help="CSV/JSON input file (default stdin)")
         c.add_argument("--depth", type=int, default=2, help="signature truncation level")
         if p:
             c.add_argument("--p", type=float, default=2.0, help="p-variation exponent")

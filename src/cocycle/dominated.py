@@ -16,26 +16,18 @@ Taylor derivatives) at the rows' grid times, all rows at once:
 * :func:`rebase` -- transitivity: paths dominated by an enhancement are
   dominated by the original base;
 * :func:`rough_integrate` -- rough integration of a Lip(gamma) one-form,
-  gamma > p - 1, with its group enhancement;
-* weakly controlled paths and their iterated integration.
+  gamma > p - 1, with its group enhancement.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import trees
 from .algebra import ForestSystem, GradedTensor, HopfSystem, tensor_system
-from .maps import (
-    _degree_tuples,
-    _double_block_matrices,
-    double_split_blocks,
-    level_one_split_blocks,
-)
+from .maps import _degree_tuples, _double_block_matrices, double_split_blocks
 from .one_forms import (
     AlgebraTarget,
     BranchedRoughOneForm,
@@ -45,14 +37,11 @@ from .one_forms import (
     LipFunction,
     RecenteredForm,
     RoughOneForm,
-    SlowVaryingReport,
     TimeVaryingOneForm,
     pair_quotients,
     read_matrices,
-    slowly_varying_certificate,
 )
-from .paths import CHEN_CHUNK, Control, SampledGroupPath, control_from_pvar, grid_triples, holder_quotients
-from .paths import sup_quotient, vector_p_variation
+from .paths import Control, SampledGroupPath, control_from_pvar, sup_quotient
 from .sewing import SewingResult, sew
 
 
@@ -68,7 +57,6 @@ class DominatedPath:
     theta: float
     p: float
     result: SewingResult | None = None
-    certificate: SlowVaryingReport | None = None
     _matrices: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
@@ -94,9 +82,6 @@ class DominatedPath:
     def dim(self) -> int:
         return self.trace.shape[1]
 
-    def increment(self, s: int, t: int) -> np.ndarray:
-        return self.trace[t] - self.trace[s]
-
     def base_matrices(self, degrees) -> dict:
         """``{k: (N, dim, dim_k)}``: the matrices of v_k -> beta_s(g_s, v_k) for every grid time.
 
@@ -111,17 +96,9 @@ class DominatedPath:
             out[k] = M
         return out
 
-    def certify(self) -> SlowVaryingReport:
-        report = slowly_varying_certificate(self.form, self.base, self.omega, self.theta, self.p)
-        self.certificate = report
-        return report
-
     def remainder_quotient(self) -> float:
         """sup |h_t - h_s - beta_s(g_s, g_{s,t})| / w(s,t)^theta over pairs."""
         return sup_quotient(pair_quotients(self.form, self.base, self.omega, [self.theta], {}, self.trace))[0]
-
-    def p_variation(self) -> float:
-        return vector_p_variation(self.trace, self.p)
 
     def __add__(self, other: "DominatedPath") -> "DominatedPath":
         if other.base is not self.base or other.dim != self.dim:
@@ -160,10 +137,10 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[..., :, None] * y[..., None, :]
 
 
-def _split(blocks_of, system: HopfSystem, c) -> list:
-    """The blocks ``((j1, j2), (..., dim_j1, dim_j2))`` of a blockwise two-factor map
-    (``double_split_blocks`` or ``level_one_split_blocks``) on stacked levels."""
-    return [item for k in range(2, system.n + 1) for item in blocks_of(system, k, c[k]).items()]
+def _split(system: HopfSystem, c) -> list:
+    """The blocks ``((j1, j2), (..., dim_j1, dim_j2))`` of the two-factor integral
+    split (``double_split_blocks``) on stacked levels."""
+    return [item for k in range(2, system.n + 1) for item in double_split_blocks(system, k, c[k]).items()]
 
 
 def _pair_kernel(blocks, mats1: dict, mats2: dict, s, shape: tuple) -> np.ndarray:
@@ -190,7 +167,7 @@ def _iterated_readout(system: HopfSystem, trace1: np.ndarray, mats1: dict, mats2
     def readout(s, c):
         shape = c[0].shape[:-1]
         lead = _outer(trace1[s] - trace1[0], read_matrices(mats2, s, c, dim2))
-        kern = _pair_kernel(_split(double_split_blocks, system, c), mats1, mats2, s, shape)
+        kern = _pair_kernel(_split(system, c), mats1, mats2, s, shape)
         return (lead + kern).reshape(shape + (-1,))
 
     return readout
@@ -487,169 +464,3 @@ def rough_integrate(
         omega = control_from_pvar(base, p)
     d = DominatedPath.from_form(base, form, omega, form.theta, p, schedule=schedule)
     return enhance(d, schedule=schedule)
-
-
-# -- weakly controlled paths ----------------------------------------------------------
-
-
-@dataclass
-class ControlledPath:
-    """A trace plus a one-form over the degree-([p]-1) group, with certificate."""
-
-    base: SampledGroupPath  # at level [p]
-    low: SampledGroupPath  # the same path truncated to level [p]-1
-    trace: np.ndarray
-    coefficients: dict  # {degree: (N, dim_U, dim_k)}, stacked over the grid
-    omega: Control
-    theta: float
-    p: float
-    form: RecenteredForm = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.form = RecenteredForm(self.low, self.trace.shape[1], self.coefficients)
-
-    @classmethod
-    def from_coefficients(cls, base, trace, coefficients, omega, theta, p) -> "ControlledPath":
-        hp = int(math.floor(p))
-        if base.level != hp:
-            raise ValueError("controlled paths expect the base at level [p]")
-        lowsys = tensor_system(base.system.kind, base.d, hp - 1)
-        low = SampledGroupPath(lowsys, base.times, base.levels[:hp])
-        return cls(base, low, np.asarray(trace, dtype=float), coefficients, omega, theta, p)
-
-    @classmethod
-    def from_dominated(cls, d: DominatedPath) -> "ControlledPath":
-        hp = int(math.floor(d.p))
-        return cls.from_coefficients(d.base, d.trace, d.base_matrices(range(1, hp)), d.omega, d.theta, d.p)
-
-    @property
-    def dim(self) -> int:
-        return self.trace.shape[1]
-
-    def certificate_norm(self) -> float:
-        """The combined bound of the weak-control conditions (finite = pass)."""
-        low, form = self.low, self.form
-        degrees = range(1, int(math.floor(self.p)))
-        times = np.arange(len(self.base))
-        own = {k: form.probe_matrix(low, times, times, k) for k in degrees}
-        sup_norm = max([0.0] + [float(np.abs(M).sum(axis=-2).max(initial=0.0)) for M in form.stacked.values()])
-        expos = [self.theta - (1 + k) / self.p for k in range(len(degrees) + 1)]
-        q = pair_quotients(form, low, self.omega, expos, own, self.trace)
-        return sup_norm + sup_quotient(q[:, 0])[0] + sup_quotient(q[:, 1:])[0]
-
-    def increment(self, s: int, t: int) -> np.ndarray:
-        return self.trace[t] - self.trace[s]
-
-
-def _one_steps(base: SampledGroupPath):
-    """Grid steps j and the recentred one-step directions g_j^{-1} g_j (g_{j,j+1} - 1)."""
-    j = np.arange(len(base) - 1)
-    return j, base.recenter_rows(j, [l[j] for l in base.levels], base.increments(j, j + 1))
-
-
-def controlled_iterated_integral(c1: ControlledPath, c2: ControlledPath):
-    """The canonical integral of one weakly controlled path against another.
-
-    Realised over the augmented path (second trace joined with the group
-    path); the increment kernel pairs the running first trace with the second
-    increment and both forms with the two-factor integral split.  The steps
-    are read at once and summed in grid order; the integrable-condition
-    residuals run over every grid triple, ``CHEN_CHUNK`` at a time.  Returns
-    the trace and the measured integrable-condition data.
-    """
-    if c1.base is not c2.base:
-        raise ValueError("controlled integration needs a shared base path")
-    base = c1.base
-    N = len(base)
-    system = base.system
-    mats1, mats2 = c1.form.stacked, c2.form.stacked
-
-    j, c = _one_steps(base)
-    lead = _outer(c1.trace[j] - c1.trace[0], c2.trace[j + 1] - c2.trace[j])
-    steps = lead + _pair_kernel(_split(double_split_blocks, system, c), mats1, mats2, j, j.shape)
-    trace = np.zeros((N, c1.dim * c2.dim))
-    for i, step in enumerate(steps):
-        trace[i + 1] = trace[i] + step.reshape(-1)
-
-    # integrable-condition residuals of the augmented one-form on triples
-    expo = min(c1.theta, (int(math.floor(c1.p)) + 1) / c1.p)
-    worst, worst_triple = 0.0, None
-    triples = grid_triples(N)
-    while chunk := list(itertools.islice(triples, CHEN_CHUNK)):
-        s, u, t = np.array(chunk, dtype=np.int64).T
-        inc = base.recenter_rows(u, [l[u] for l in base.levels], base.increments(u, t))
-        blocks = _split(double_split_blocks, system, inc)
-        lead_dev = _outer(c1.trace[u] - c1.trace[s], c2.trace[t] - c2.trace[u])
-        kern_dev = _pair_kernel(blocks, mats1, mats2, u, u.shape) - _pair_kernel(blocks, mats1, mats2, s, s.shape)
-        devs = np.abs(lead_dev + kern_dev).max(axis=(-2, -1))
-        q, k = sup_quotient(holder_quotients(devs, c1.omega.rows(s, t), expo))
-        if q > worst:
-            worst, worst_triple = q, chunk[k]
-    return trace, {"ratio": worst, "worst_triple": worst_triple}
-
-
-def integrate_controlled_against(
-    c1: ControlledPath, d2: DominatedPath, schedule: str = "ltr"
-) -> DominatedPath:
-    """Integral of a weakly controlled path against a dominated path.
-
-    The result is genuinely dominated by the shared base.
-    """
-    if c1.base is not d2.base:
-        raise ValueError("needs a shared base path")
-    base = c1.base
-    mats2 = d2.base_matrices(range(1, base.system.n + 1))
-    readout = _iterated_readout(base.system, c1.trace, c1.form.stacked, mats2)
-    form = RecenteredForm(base, c1.dim * d2.dim, readout=readout)
-    omega = c1.omega + d2.omega + control_from_pvar(base, c1.p)
-    theta = min(c1.theta, d2.theta, (base.system.n + 1) / c1.p)
-    return DominatedPath.from_form(base, form, omega, theta, c1.p, schedule=schedule)
-
-
-def integrate_controlled_against_level_one(c1: ControlledPath, schedule: str = "ltr"):
-    """Integral of a controlled path against the degree-one trace of the base.
-
-    Needs only the level-one split, so it applies to the forest system at any
-    level.  The steps are read at once and summed in grid order.  Returns the
-    trace (dim_U x d) on the grid.
-    """
-    base = c1.base
-    N = len(base)
-    d = base.d
-    j, c = _one_steps(base)
-    blocks = _split(level_one_split_blocks, base.system, c)
-    eye = {1: np.broadcast_to(np.eye(d), (N, d, d))}
-    steps = _outer(c1.trace[j] - c1.trace[0], c[1]) + _pair_kernel(blocks, c1.form.stacked, eye, j, j.shape)
-    trace = np.zeros((N, c1.dim * d))
-    for i, step in enumerate(steps):
-        trace[i + 1] = trace[i] + step.reshape(-1)
-    return trace
-
-
-def step2_enhancement_of_controlled(c: ControlledPath) -> SampledGroupPath:
-    """Canonical forest-group enhancement of a controlled path for [p] = 2.
-
-    Single nodes carry the trace increments, two-node forests their products,
-    and the grafted two-node trees the controlled integrals of one coordinate
-    against another.
-    """
-    if int(math.floor(c.p)) != 2:
-        raise ValueError("the canonical step-2 enhancement needs 2 <= p < 3")
-    e = c.dim
-    enh = tensor_system("butcher", e, 2)
-    pair_trace, _ = controlled_iterated_integral(c, c)
-    pair_trace = pair_trace.reshape(-1, e, e)
-    N = len(c.base)
-    levels = [np.zeros((N, enh.dim(k))) for k in range(3)]
-    levels[0][:, 0] = 1.0
-    x = c.trace - c.trace[0]
-    for i in range(e):
-        levels[1][:, enh.forest_position(1, (trees.tree(i + 1),))] = x[:, i]
-    for i in range(e):
-        for j in range(e):
-            forest = trees.forest_concat((trees.tree(i + 1),), (trees.tree(j + 1),))
-            levels[2][:, enh.forest_position(2, forest)] = x[:, i] * x[:, j]
-            ladder = (trees.tree(i + 1, (trees.tree(j + 1),)),)
-            # integral of coordinate j against coordinate i
-            levels[2][:, enh.forest_position(2, ladder)] = pair_trace[:, j, i]
-    return SampledGroupPath(enh, c.base.times, levels)

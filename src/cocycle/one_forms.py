@@ -737,6 +737,8 @@ def pair_quotients(form, path, omega, expos, own, trace=None) -> np.ndarray:
     With a ``trace`` h, column 0 takes the remainder ``|h_t - h_s - beta_s(g_s, g_{s,t})|``;
     the next take, for each degree k of ``own`` (the probes P_t of every grid time), the
     gap ``|P_t - probe(s, g_t)|``.  Column c is read at ``expos[c]``; nan where w(s,t) <= 0.
+    The slowly-varying certificate reads the gaps, ``DominatedPath.remainder_quotient``
+    the remainder.
     """
     times = np.arange(len(path))
     blocks = []

@@ -49,7 +49,6 @@ class SewingResult:
     prefixes: object
     theta: float
     omega: Control
-    schedule: str
     removal_order: list = field(default_factory=list)
     removal_bound: float = 0.0
     one_steps: object = None  # (i, j) index arrays -> one-step rows of those windows
@@ -109,31 +108,6 @@ class SewingResult:
     def zeta_bound(self) -> float:
         """2^theta zeta(theta) w(0,T)^theta: the removal-argument envelope."""
         return 2.0**self.theta * zeta(self.theta) * self.omega(0, len(self.times) - 1) ** self.theta
-
-    def to_obj(self) -> dict:
-        """JSON-ready dump: values per grid time plus per-interval estimates."""
-        def value_obj(v):
-            if isinstance(v, np.ndarray):
-                return [float(x) for x in v]
-            from .serialize import tensor_to_obj
-
-            return tensor_to_obj(v)
-
-        steps = [(j, j + 1) for j in range(len(self.times) - 1)]
-        errors = self.local_estimates(steps) if self.one_steps else [None] * len(steps)
-        omegas = self.omega.rows(np.arange(len(steps)), np.arange(1, len(steps) + 1)).tolist()
-        intervals = [
-            {"window": [float(self.times[j]), float(self.times[j + 1])], "local_error": err, "omega": w}
-            for j, (err, w) in enumerate(zip(errors, omegas))
-        ]
-        return {
-            "schedule": self.schedule,
-            "theta": self.theta,
-            "times": [float(t) for t in self.times],
-            "values": [value_obj(v) for v in self.values],
-            "intervals": intervals,
-            "removal_bound": self.removal_bound,
-        }
 
 
 def loglog_slope(xs, ys) -> float:
@@ -218,7 +192,6 @@ def sew(
         prefixes=prefixes,
         theta=theta,
         omega=omega,
-        schedule=schedule,
         removal_order=removals,
         removal_bound=bound,
         one_steps=one_steps,

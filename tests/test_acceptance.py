@@ -6,15 +6,15 @@ per criterion.
 
 import io
 import json
+import pathlib
 import sys
 
 import numpy as np
 import pytest
 
-from cocycle import oracles, trees
+from cocycle import oracles, serialize, trees
 from cocycle.algebra import tensor_system
 from cocycle.dominated import (
-    ControlledPath,
     DominatedPath,
     compose,
     coordinate_coupling,
@@ -31,6 +31,7 @@ from cocycle.one_forms import (
     LipFunction,
     PolynomialCocyclicForm,
     RoughOneForm,
+    mixed_one_form,
     polynomial_trace_increment,
     slowly_varying_certificate,
 )
@@ -44,6 +45,8 @@ from cocycle.paths import (
 )
 from cocycle.sewing import refine_and_compare, sew
 from conftest import path_max_dev, random_character, random_grouplike
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def report(number: int, description: str, ok: bool, detail: str = ""):
@@ -247,9 +250,30 @@ def test_criterion_08_dominated_algebra():
         rep_out = slowly_varying_certificate(pr.form, g, pr.omega, pr.theta, 2.0)
         norms.append(rep_out.beta_norm / max(rep_in.beta_norm**2, 1e-12))
     stable = 0.5 <= norms[1] / norms[0] <= 2.0
-    ok = trace_dev <= 1e-9 and stable
-    report(8, "product trace is the tensor of traces; operator-norm bound stable",
-           ok, f"trace dev {trace_dev:.2e}, C ratio {norms[1] / norms[0]:.2f}")
+
+    # sums and scalar multiples of the rough integral of the golden one-form
+    # along the golden walk: each is the sewn integral of its own form, the
+    # slowly-varying norm is homogeneous and satisfies the triangle inequality
+    times, pts = serialize.read_csv_path((GOLDEN_DIR / "walk.csv").read_text())
+    f = serialize.one_form_from_obj(json.loads((GOLDEN_DIR / "form2.json").read_text()))
+    g = signature_piecewise_linear(pts, 2, times=times)
+    form = RoughOneForm(f, g, 2.0)
+    y = DominatedPath.from_form(g, form, control_from_pvar(g, 2.0), form.theta, 2.0)
+    scaled = -2.0 * y
+    summed = y + scaled
+
+    resew_dev = 0.0
+    for d in (scaled, summed):
+        resewn = DominatedPath.from_form(g, d.form, d.omega, d.theta, d.p)
+        resew_dev = max(resew_dev, float(np.abs((resewn.trace - resewn.trace[0]) - (d.trace - d.trace[0])).max()))
+    n_y, n_scaled, n_summed = (
+        slowly_varying_certificate(d.form, d.base, d.omega, d.theta, d.p).beta_norm for d in (y, scaled, summed)
+    )
+    homogeneous = abs(n_scaled - 2.0 * n_y) <= 1e-12 * 2.0 * n_y
+    ok = trace_dev <= 1e-9 and stable and resew_dev <= 1e-12 and homogeneous and n_summed <= n_y + n_scaled
+    report(8, "product trace is the tensor of traces; operator-norm bound stable; sums and multiples",
+           ok, f"trace dev {trace_dev:.2e}, C ratio {norms[1] / norms[0]:.2f}, re-sewn {resew_dev:.1e}, "
+               f"norms {n_summed:.2f} <= {n_y:.2f} + {n_scaled:.2f}")
 
 
 def test_criterion_09_composition():
@@ -450,3 +474,42 @@ def test_criterion_14_cli_determinism(tmp_path):
         outs = [run(cmd) for _ in range(3)]
         ok = ok and outs[0] == outs[1] == outs[2]
     report(14, "byte-identical CLI output across repeated runs", ok)
+
+
+def test_criterion_15_time_varying_one_form():
+    # F_t = (1 + h(t)) F for the golden one-form F, along (cos 2t, sin 3t), t in [0, 1]:
+    # the sewn integral against the left Riemann-Stieltjes sum of a fine refinement
+    obj = json.loads((GOLDEN_DIR / "form2.json").read_text())
+    arrays = [np.asarray(a, dtype=float) for a in obj["derivatives"]]
+    p = 2.0
+    theta = (min(obj["gamma"], np.floor(p)) + 1.0) / p
+
+    def curve(t):
+        return np.stack([np.cos(2.0 * t), np.sin(3.0 * t)], axis=1)
+
+    def h(t):
+        return 0.5 * np.sin(5.0 * t)
+
+    def scaled_form(c):
+        return LipFunction.from_polynomial([c * a for a in arrays], gamma=obj["gamma"])
+
+    fine = np.linspace(0.0, 1.0, 2**16 + 1)
+    x = curve(fine)
+    F = arrays[0] + np.einsum("mik,rk->rmi", arrays[1], x[:-1] - x[0])  # F(x - x_0), row by row
+    riemann = np.einsum("r,rmi,ri->m", 1.0 + h(fine[:-1]), F, np.diff(x, axis=0))
+
+    devs = []
+    for N in (65, 257, 1025):
+        ts = np.linspace(0.0, 1.0, N)
+        g = signature_piecewise_linear(curve(ts), 2, times=ts)
+        omega = control_from_pvar(g, p)
+        form = mixed_one_form(scaled_form, 1.0 + h(ts), g, p, omega, theta)
+        d = DominatedPath.from_form(g, form, omega, theta, p)
+        devs.append(float(np.abs(d.trace[-1] - d.trace[0] - riemann).max()))
+        if N == 65:
+            worst = form.time_variation_report()["worst"]  # {order l: (quotient, pair)}
+    finite = sorted(worst) == list(range(int(p))) and all(np.isfinite(q) for q, _ in worst.values())
+    cuts = [a / b for a, b in zip(devs, devs[1:])]
+    ok = finite and min(cuts) >= 3.0
+    report(15, "time-varying one-form: sewn integral converges to the Riemann-Stieltjes sum",
+           ok, f"deviations {', '.join(f'{d:.1e}' for d in devs)}, cuts {', '.join(f'{c:.2f}' for c in cuts)}")

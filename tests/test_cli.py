@@ -378,6 +378,22 @@ def test_unread_options_are_refused(argv, capsys):
     assert refusal(err, 2)["message"] == "cocycle: unrecognized arguments: " + " ".join(argv[-2:])
 
 
+@pytest.mark.parametrize("argv", UNREAD_OPTIONS, ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_unread_options_before_the_input_are_refused(argv, capsys):
+    # the same refusals with the option right after the command: the option's
+    # value is not taken for the input, so the refusal names the option alone
+    code, out, err = run_cli(golden_files(argv[:1] + argv[-2:] + argv[1:-2]), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert refusal(err, 2)["message"] == "cocycle: unrecognized arguments: " + argv[-2]
+
+
+def test_second_input_is_refused(capsys):
+    walk = str(GOLDEN_DIR / "walk.csv")
+    code, out, err = run_cli(["signature", walk, walk], capsys=capsys)
+    assert (code, out) == (2, "")
+    assert refusal(err, 2)["message"] == "cocycle: unrecognized arguments: " + walk
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -4,23 +4,17 @@ import pytest
 from cocycle import oracles, trees
 from cocycle.algebra import tensor_system
 from cocycle.dominated import (
-    ControlledPath,
     DominatedPath,
     compose,
-    controlled_iterated_integral,
     coordinate_coupling,
     enhance,
-    integrate_controlled_against,
-    integrate_controlled_against_level_one,
     iterated_integral,
     product,
     rebase,
     rough_integrate,
-    step2_enhancement_of_controlled,
 )
 from cocycle.one_forms import CertificateError, LipFunction, RoughOneForm, slowly_varying_certificate
 from cocycle.paths import (
-    chen_residual,
     control_from_pvar,
     path_from_increments,
     signature_piecewise_linear,
@@ -71,7 +65,7 @@ class TestDominatedPath:
         pts, g, om = wiggly_base(rng, N=12)
         form = RoughOneForm(linear_form(d=2, m=2), g, p=2.0)
         d = DominatedPath.from_form(g, form, om, form.theta, 2.0)
-        report = d.certify()
+        report = slowly_varying_certificate(d.form, g, om, d.theta, d.p)
         # remainder bound: finite quotient against the certificate norm
         assert d.remainder_quotient() <= 10.0 * max(report.beta_norm, 1.0)
         # p-variation of the trace controlled by the operator norm
@@ -413,74 +407,6 @@ class TestRoughIntegrate:
         gb = path_from_increments(b1, ts, incs)
         Y = rough_integrate(linear_form(), gb, p=2.0)
         assert abs(Y.values[-1].levels[1][0] - (0.5 + lam)) < 1e-12
-
-
-class TestControlled:
-    def test_from_dominated_passes_certificate(self, rng):
-        pts, g, om = wiggly_base(rng, N=7)
-        d = coordinate_coupling(g, om, theta=1.5, p=2.0)
-        c = ControlledPath.from_dominated(d)
-        assert np.isfinite(c.certificate_norm())
-
-    def test_controlled_matches_dominated_route(self, rng):
-        pts, g, om = wiggly_base(rng, N=9)
-        d = coordinate_coupling(g, om, theta=1.5, p=2.0)
-        c = ControlledPath.from_dominated(d)
-        tr, diag = controlled_iterated_integral(c, c)
-        it = iterated_integral(d, d)
-        assert np.abs(tr - (it.trace - it.trace[0])).max() < 1e-9
-        assert np.isfinite(diag["ratio"])
-
-    def test_constant_first_factor_gives_zero(self, rng):
-        pts, g, om = wiggly_base(rng, N=7)
-        d = coordinate_coupling(g, om, theta=1.5, p=2.0)
-        c1 = ControlledPath.from_coefficients(
-            g, np.zeros((len(g), 1)), {1: np.zeros((len(g), 1, 2))}, om, 1.5, 2.0
-        )
-        c2 = ControlledPath.from_dominated(d)
-        tr, _ = controlled_iterated_integral(c1, c2)
-        assert np.abs(tr).max() < 1e-14
-
-    def test_integrate_controlled_against_dominated(self, rng):
-        pts, g, om = wiggly_base(rng, N=9)
-        d = coordinate_coupling(g, om, theta=1.5, p=2.0)
-        c = ControlledPath.from_dominated(d)
-        out = integrate_controlled_against(c, d)
-        it = iterated_integral(d, d)
-        assert np.abs(out.trace - it.trace).max() < 1e-9
-
-    def test_level_one_route_matches(self, rng):
-        pts, g, om = wiggly_base(rng, N=9)
-        d = coordinate_coupling(g, om, theta=1.5, p=2.0)
-        c = ControlledPath.from_dominated(d)
-        tr = integrate_controlled_against_level_one(c)
-        it = iterated_integral(d, d)
-        assert np.abs(tr - (it.trace - it.trace[0])).max() < 1e-9
-
-    def test_step2_enhancement_matches_oracles(self, rng):
-        pts, g, om = wiggly_base(rng, N=9)
-        d = coordinate_coupling(g, om, theta=1.5, p=2.0)
-        c = ControlledPath.from_dominated(d)
-        enh = step2_enhancement_of_controlled(c)
-        assert max(enh.system.grouplike_residual(v) for v in enh.values) < 1e-11
-        assert chen_residual(enh, max_triples=100) < 1e-11
-        lad = (trees.tree(1, (trees.tree(2),)),)
-        got = enh.values[-1].levels[2][enh.system.forest_position(2, lad)]
-        val, tol = oracles.quadrature_iterated_integral(pts, (2, 1), mesh=2048)
-        assert abs(got - val) < 1e-8 + 4 * tol
-
-
-def test_form_sum_traces_add(rng):
-    from cocycle.one_forms import FormSum
-
-    pts, g, om = wiggly_base(rng, N=9)
-    d1 = coordinate_coupling(g, om, theta=1.5, p=2.0)
-    d2 = 0.7 * d1
-    summed = DominatedPath.from_form(
-        g, FormSum([d1.form, d2.form]), om, 1.5, 2.0
-    )
-    expect = (d1.trace - d1.trace[0]) + (d2.trace - d2.trace[0])
-    assert np.abs(summed.trace - expect).max() < 1e-11
 
 
 def test_identity_rough_integral_matches_extension_levels(rng):

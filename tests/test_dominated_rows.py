@@ -17,14 +17,10 @@ import pytest
 from cocycle import serialize
 from cocycle.algebra import GradedTensor, tensor_system
 from cocycle.dominated import (
-    ControlledPath,
     DominatedPath,
     compose,
-    controlled_iterated_integral,
     coordinate_coupling,
     enhance,
-    integrate_controlled_against,
-    integrate_controlled_against_level_one,
     iterated_integral,
     product,
     rebase,
@@ -46,8 +42,7 @@ def walk60():
 
 
 def calculus_chain(times, pts) -> dict:
-    """x, y, iterated integral, product, composition, enhancement, rebase, rough integral,
-    and the controlled integrals of x."""
+    """x, y, iterated integral, product, composition, enhancement, rebase and rough integral."""
     f = serialize.one_form_from_obj(json.loads((GOLDEN_DIR / "form2.json").read_text()))
     func = serialize.function_from_obj(json.loads((GOLDEN_DIR / "func.json").read_text()))
     g = signature_piecewise_linear(pts, 2, times=times)
@@ -64,8 +59,6 @@ def calculus_chain(times, pts) -> dict:
     outer = iterated_integral(outer_base, outer_base, schedule="ltr", check=False)
     rebased = rebase(outer, enh, schedule="ltr")
     rough = rough_integrate(f, g, P, schedule="ltr")
-    controlled = ControlledPath.from_dominated(x)
-    pair_trace, diag = controlled_iterated_integral(controlled, controlled)
     out = {
         "x": x.trace,
         "y": y.trace,
@@ -75,10 +68,6 @@ def calculus_chain(times, pts) -> dict:
         "outer": outer.trace,
         "rebased": rebased.trace,
         "rough_level1": rough.as_sampled_path().levels[1],
-        "controlled_pair": pair_trace,
-        "controlled_ratio": np.array(diag["ratio"]),
-        "controlled_worst_triple": np.array(diag["worst_triple"]),
-        "controlled_level_one": integrate_controlled_against_level_one(controlled),
     }
     for k, level in enumerate(lifted.levels):
         out[f"enhance_level{k}"] = level
@@ -100,8 +89,6 @@ def test_calculus_chain_matches_golden_arrays():
     assert sorted(got) == sorted(want)
     for name, arr in got.items():
         assert np.array_equal(arr, want[name]), name
-    for name in ("walk", "walk60"):  # the controlled ratio, by float.hex
-        assert float(got[f"{name}_controlled_ratio"]).hex() == float(want[f"{name}_controlled_ratio"]).hex()
 
 
 def test_calculus_chain_builds_no_tensor_per_grid_point(tensor_inits):
@@ -320,13 +307,6 @@ def test_dominated_forms_read_rows(level, p):
     outer_mats = ref_matrices(outer_base, degrees)
     outer_fn = ref_iterated(lifted, outer_base.trace, outer_mats, outer_mats, outer_base.dim)
     forms["rebase"] = (rebase(outer, enh).form, ref_rebase(outer_fn, enh, ladders))
-    if level == int(p):
-        c1 = ControlledPath.from_dominated(x)
-        low = [{k: c1.form.stacked[k][s] for k in range(1, level)} for s in range(N)]
-        forms["controlled_against_y"] = (
-            integrate_controlled_against(c1, y).form,
-            ref_iterated(g, c1.trace, low, ref_matrices(y, degrees), y.dim),
-        )
 
     first, last = np.triu_indices(N, 1)  # every window
     elsewhere = np.arange(N)

@@ -5,7 +5,6 @@ from cocycle.algebra import tensor_system
 from cocycle.one_forms import (
     AlgebraTarget,
     CertificateError,
-    FlatTarget,
     LipFunction,
     RoughOneForm,
     constant_form_from_alpha,
@@ -203,18 +202,3 @@ def test_constant_form_zero_at_all_refinements(rng):
     coarse = g.restrict(range(0, 17, 8))
     rep = refine_and_compare(form, g, coarse, om, 2.0)
     assert all(d < 1e-13 for d in rep.deviations)
-
-
-def test_result_json_dump(smooth_path):
-    from cocycle import serialize
-
-    form = RoughOneForm(
-        LipFunction.from_polynomial(cubic_one_form(), gamma=2.0), smooth_path, p=2.0
-    )
-    om = control_from_pvar(smooth_path, 2.0)
-    res = sew(form, smooth_path, om, theta=form.theta, schedule="omega", check=False)
-    obj = res.to_obj()
-    assert len(obj["values"]) == len(smooth_path)
-    assert len(obj["intervals"]) == len(smooth_path) - 1
-    assert all(iv["local_error"] is not None for iv in obj["intervals"])
-    serialize.dumps(obj)  # must be serializable with the fixed float format
