@@ -409,6 +409,19 @@ class TestRoughIntegrate:
         assert abs(Y.values[-1].levels[1][0] - (0.5 + lam)) < 1e-12
 
 
+def test_form_sum_traces_add(rng):
+    from cocycle.one_forms import FormSum
+
+    pts, g, om = wiggly_base(rng, N=9)
+    d1 = coordinate_coupling(g, om, theta=1.5, p=2.0)
+    d2 = 0.7 * d1
+    summed = DominatedPath.from_form(
+        g, FormSum([d1.form, d2.form]), om, 1.5, 2.0
+    )
+    expect = (d1.trace - d1.trace[0]) + (d2.trace - d2.trace[0])
+    assert np.abs(summed.trace - expect).max() < 1e-11
+
+
 def test_identity_rough_integral_matches_extension_levels(rng):
     # with the identity one-form the enhancement reproduces the group levels
     from cocycle.one_forms import LipFunction
